@@ -224,9 +224,7 @@ def cmd_period_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(seed=args.seed, samples=args.samples,
-                         literal_conjunctive=args.literal_conjunctive,
-                         only=args.only)
+    results = run_checks(seed=args.seed, samples=args.samples, only=args.only)
     all_pass = all(r.passed for r in results)
     if args.json:
         report = {
@@ -297,8 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="sum operator (default disjunctive)")
     p_gs.add_argument("--n-max", type=int, default=200, metavar="N",
                       help="largest heap size tabulated (default 200; "
-                           "splitting rulesets get expensive under "
-                           "conjunctive/selective well before that)")
+                           "splitting rulesets get expensive under every "
+                           "operator well before that)")
     p_gs.add_argument("--tail", type=_tail_arg, default=(), metavar="SIZES",
                       help="comma-separated fixed heap sizes (same ruleset) "
                            "added to every position; under sequential the "
@@ -340,10 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--only", action="append", metavar="NAME",
                        help="run only checks whose name contains NAME "
                             "(repeatable)")
-    p_ver.add_argument("--literal-conjunctive", action="store_true",
-                       help="test hook: run the paired-tree conjunctive check "
-                            "under the literal simultaneous-move recursion, "
-                            "which is expected to fail it")
     p_ver.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of text")
     _add_output_flag(p_ver)

@@ -24,14 +24,14 @@ results are exact Fractions.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional, Sequence
 
 from .game import GameId, as_score, number, make_game, shift
-from .operators import Operator, sum_games
+from .operators import Operator, _successors, sum_games
 
 
 def default_points(digits: Sequence[int]) -> tuple[Fraction, ...]:
@@ -86,15 +86,20 @@ Position = Iterable[Heap]
 # ruleset interning so positions hash as small int pairs
 _rids: dict[OctalRuleset, int] = {}
 _rulesets: list[OctalRuleset] = []
+_rid_lock = threading.Lock()
 
 
 def _rid(rules: OctalRuleset) -> int:
     got = _rids.get(rules)
-    if got is None:
-        got = len(_rulesets)
-        _rulesets.append(rules)
-        _rids[rules] = got
-    return got
+    if got is not None:
+        return got
+    with _rid_lock:
+        got = _rids.get(rules)
+        if got is None:
+            got = len(_rulesets)
+            _rulesets.append(rules)
+            _rids[rules] = got
+        return got
 
 
 _moves_cache: dict[tuple[int, int], tuple] = {}
@@ -137,9 +142,6 @@ def heap_moves(rules: OctalRuleset, n: int) -> tuple[tuple[Fraction, tuple[int, 
     return _raw_moves(_rid(rules), n)
 
 
-_scaled_moves_cache: dict[tuple[int, int, int], tuple] = {}
-
-
 _alive_memo: dict[tuple[int, int], bool] = {}
 
 
@@ -151,24 +153,29 @@ def _alive(heap: tuple[int, int]) -> bool:
     return got
 
 
-_scaled_moves_cache: dict[tuple[int, int, int], tuple] = {}
+_scaled_moves_cache: dict[int, dict[tuple[int, int], tuple]] = {}
 
 
-def _scaled_moves(rid: int, n: int, scale: int):
-    """heap_moves with points as ints (times `scale`) and (rid, size) parts.
+def _scaled_moves(scale: int):
+    """The `moves` of `operators._successors` for heaps, points times `scale`.
 
-    Dead remainders are dropped here once, so every state assembled from
-    these parts is live by construction and needs no further filtering.
+    A heap (rid, n) moves to (int points, (rid, size) parts).  Dead
+    remainders are dropped here once, so every state assembled from these
+    parts is live by construction and needs no further filtering.
     """
-    key = (rid, n, scale)
-    got = _scaled_moves_cache.get(key)
-    if got is None:
-        got = tuple(
-            (int(p * scale),
-             tuple((rid, m) for m in rem if _alive((rid, m))))
-            for p, rem in _raw_moves(rid, n))
-        _scaled_moves_cache[key] = got
-    return got
+    cache = _scaled_moves_cache.setdefault(scale, {})
+
+    def moves(heap: tuple[int, int]) -> tuple:
+        got = cache.get(heap)
+        if got is None:
+            rid, n = heap
+            got = tuple(
+                (int(p * scale),
+                 tuple((rid, m) for m in rem if _alive((rid, m))))
+                for p, rem in _raw_moves(rid, n))
+            cache[heap] = got
+        return got
+    return moves
 
 
 def _canonical(op: Operator, heaps: Sequence[tuple[int, int]]) -> tuple:
@@ -178,99 +185,26 @@ def _canonical(op: Operator, heaps: Sequence[tuple[int, int]]) -> tuple:
     return tuple(live)
 
 
-_group_cache: dict[tuple, tuple] = {}
-
-
-def _group_moves(heap: tuple[int, int], count: int, scale: int, everyone: bool):
-    """Move assignments for `count` copies of one heap, deduped by result.
-
-    Returns (points, moved_any, parts) triples; `everyone` forces all
-    copies to move (conjunctive), otherwise any number may sit still
-    (selective).
-    """
-    key = (heap, count, scale, everyone)
-    got = _group_cache.get(key)
-    if got is None:
-        rid, n = heap
-        moves = _scaled_moves(rid, n, scale)
-        best: dict[tuple, int] = {}
-        low = count if everyone else 0
-        for j in range(low, count + 1):
-            stay = (heap,) * (count - j)
-            for picked in combinations_with_replacement(moves, j):
-                pts = 0
-                parts = list(stay)
-                for q, rem in picked:
-                    pts += q
-                    parts.extend(rem)
-                k2 = (j > 0, tuple(sorted(parts)))
-                prev = best.get(k2)
-                if prev is None or pts > prev:
-                    best[k2] = pts
-        got = tuple((pts, moved, parts) for (moved, parts), pts in best.items())
-        _group_cache[key] = got
-    return got
-
-
-_gs_memo: dict[tuple, int] = {}
-
-
-def _successors(op: Operator, state: tuple, scale: int) -> dict[tuple, int]:
-    """Combined moves as {successor state: best points}, all heaps live."""
-    succs: dict[tuple, int] = {}
-    if op is Operator.SEQUENTIAL:
-        head = state[0]
-        rid, n = head
-        for pts, rem in _scaled_moves(rid, n, scale):
-            succ = rem + state[1:]
-            prev = succs.get(succ)
-            if prev is None or pts > prev:
-                succs[succ] = pts
-        return succs
-
-    if op is Operator.DISJUNCTIVE:
-        seen = set()
-        for i, heap in enumerate(state):
-            if heap in seen:
-                continue
-            seen.add(heap)
-            rest = state[:i] + state[i + 1:]
-            rid, n = heap
-            for pts, rem in _scaled_moves(rid, n, scale):
-                succ = tuple(sorted(rest + rem))
-                prev = succs.get(succ)
-                if prev is None or pts > prev:
-                    succs[succ] = pts
-        return succs
-
-    groups = sorted({h: state.count(h) for h in set(state)}.items())
-    everyone = op is Operator.CONJUNCTIVE
-    per_group = [_group_moves(h, c, scale, everyone) for h, c in groups]
-    for combo in product(*per_group):
-        if not everyone and not any(moved for _, moved, _ in combo):
-            continue
-        pts = 0
-        parts: tuple = ()
-        for q, _, chunk in combo:
-            pts += q
-            parts += chunk
-        succ = tuple(sorted(parts))
-        prev = succs.get(succ)
-        if prev is None or pts > prev:
-            succs[succ] = pts
-    return succs
+#: (op, scale) -> (value memo, `_successors` group cache), so no
+#: per-state key carries the operator
+_gs_tables: dict[tuple[Operator, int], tuple[dict, dict]] = {}
 
 
 def _gs(op: Operator, state: tuple, scale: int) -> int:
-    if not state:
-        return 0
-    key = (op, scale, state)
-    val = _gs_memo.get(key)
-    if val is None:
-        succs = _successors(op, state, scale)
-        val = max(pts - _gs(op, succ, scale) for succ, pts in succs.items())
-        _gs_memo[key] = val
-    return val
+    """Value of a canonical live state, in points times `scale`."""
+    memo, groups = _gs_tables.setdefault((op, scale), ({}, {}))
+    moves = _scaled_moves(scale)
+
+    def value(state: tuple) -> int:
+        if not state:
+            return 0
+        val = memo.get(state)
+        if val is None:
+            succs = _successors(op, state, moves, groups)
+            val = max(pts - value(succ) for succ, pts in succs.items())
+            memo[state] = val
+        return val
+    return value(state)
 
 
 def _prepare(op: Operator, position: Position) -> tuple[tuple, int]:

@@ -20,12 +20,8 @@ ending at any point pays out the sum of wherever each component stopped.
 `sum_games` materializes the composite as an ordinary interned tree;
 `eval_sum` computes its final scores directly on multisets of component
 ids without building the tree.  The two must agree exactly, and the test
-suite holds them to that.
-
-The `conjunctive_literal` flag switches the conjunctive operator to the
-stricter reading in which a player with no option in *some* component
-cannot move at all.  It exists so tests can demonstrate that the two
-readings genuinely diverge; nothing else should use it.
+suite holds them to that.  `_successors` is the one place that knows the
+four move rules; the octal heap recursion uses it too.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .evaluate import FinalScores
 from .game import GameId, _node, is_leaf, left_options, make_game, number, right_options, score, shift
@@ -57,7 +53,94 @@ class Operator(Enum):
         raise ValueError(f"unknown operator: {text!r}")
 
 
-_COMMUTATIVE = (Operator.DISJUNCTIVE, Operator.CONJUNCTIVE, Operator.SELECTIVE)
+Moves = Callable[[object], Sequence[tuple[int, tuple]]]
+
+
+def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> dict[tuple, int]:
+    """One turn of `op` from `state`, as {successor state: best points}.
+
+    `state` is a canonical tuple of components: sorted for the commutative
+    operators, in play order for the sequential one, and successors come
+    back in the same form.  `moves(c)` lists the mover's options in
+    component c as (points, parts) pairs, `parts` being the components that
+    replace c.  `groups` caches the choices of each run of equal components
+    by (component, count); share it only between calls with the same `op`
+    and `moves`.
+    """
+    succs: dict[tuple, int] = {}
+    if op is Operator.SEQUENTIAL:
+        rest = state[1:]
+        for pts, parts in moves(state[0]):
+            succ = parts + rest
+            prev = succs.get(succ)
+            if prev is None or pts > prev:
+                succs[succ] = pts
+        return succs
+
+    if op is Operator.DISJUNCTIVE:
+        for i, c in enumerate(state):
+            if i and c == state[i - 1]:
+                continue
+            rest = state[:i] + state[i + 1:]
+            for pts, parts in moves(c):
+                succ = tuple(sorted(rest + parts))
+                prev = succs.get(succ)
+                if prev is None or pts > prev:
+                    succs[succ] = pts
+        return succs
+
+    # conjunctive and selective: each run of equal components chooses how
+    # many of its copies move (all for conjunctive, any for selective) and
+    # which options they take; runs without an option for the mover sit out
+    everyone = op is Operator.CONJUNCTIVE
+    counts: dict = {}
+    for c in state:
+        counts[c] = counts.get(c, 0) + 1
+    idle: tuple = ()
+    per_group = []
+    for c, count in counts.items():
+        key = (c, count)
+        choices = groups.get(key)
+        if choices is None:
+            best: dict[tuple, int] = {}
+            opts = moves(c)
+            if opts:
+                for j in range(count if everyone else 0, count + 1):
+                    stay = (c,) * (count - j)
+                    for picked in combinations_with_replacement(opts, j):
+                        pts = 0
+                        parts = stay
+                        for q, chunk in picked:
+                            pts += q
+                            parts += chunk
+                        parts = tuple(sorted(parts))
+                        prev = best.get(parts)
+                        if prev is None or pts > prev:
+                            best[parts] = pts
+            choices = groups[key] = tuple((pts, parts) for parts, pts in best.items())
+        if choices:
+            per_group.append(choices)
+        else:
+            idle += (c,) * count
+    if not per_group:
+        return succs
+    combos = product(*per_group)
+    if not everyone:
+        # staying put is the first choice of every run, and no move leaves
+        # a component as it was, so the first combination is the only one
+        # in which nobody moved
+        next(combos)
+    for combo in combos:
+        pts = 0
+        parts = idle
+        for q, chunk in combo:
+            pts += q
+            parts += chunk
+        succ = tuple(sorted(parts))
+        prev = succs.get(succ)
+        if prev is None or pts > prev:
+            succs[succ] = pts
+    return succs
 
 
 def _validated(games: Iterable[GameId]) -> tuple[GameId, ...]:
@@ -69,76 +152,19 @@ def _validated(games: Iterable[GameId]) -> tuple[GameId, ...]:
     return comps
 
 
-def _group_choices(options: Sequence[GameId], count: int, smallest: int):
-    """Ways to replace j of `count` identical components by options, j >= smallest.
+#: Tree components as `_successors` sees them: a move replaces the
+#: component by one of the mover's options and scores nothing by itself.
+_TREE_MOVES = {
+    "L": lambda g: tuple((0, (o,)) for o in left_options(g)),
+    "R": lambda g: tuple((0, (o,)) for o in right_options(g)),
+}
 
-    Yields (j, replacement-tuple) with replacements drawn with repetition,
-    deduplicated by the multiset chosen.
+
+def _fold_leaves(op: Operator, comps: Sequence[GameId]) -> tuple[Fraction, tuple[GameId, ...]]:
+    """Split off the option-less components, which only add their score.
+
+    Returns (their total score, the canonical state of the rest).
     """
-    for j in range(smallest, count + 1):
-        if j == 0:
-            yield 0, ()
-        else:
-            for chosen in combinations_with_replacement(options, j):
-                yield j, chosen
-
-
-def _successor_multisets(op: Operator, comps: Sequence[GameId], side: str,
-                         literal: bool) -> set[tuple[GameId, ...]]:
-    """Distinct component multisets reachable in one move by `side`."""
-    opts = {g: (left_options(g) if side == "L" else right_options(g)) for g in set(comps)}
-    out: set[tuple[GameId, ...]] = set()
-    if op is Operator.DISJUNCTIVE:
-        comps = tuple(comps)
-        for i, g in enumerate(comps):
-            rest = comps[:i] + comps[i + 1:]
-            for o in opts[g]:
-                out.add(tuple(sorted(rest + (o,))))
-        return out
-
-    groups = sorted({g: comps.count(g) for g in set(comps)}.items())
-    if op is Operator.CONJUNCTIVE and literal:
-        if any(not opts[g] for g, _ in groups):
-            return out
-        movable = groups
-        idle: list[tuple[GameId, int]] = []
-    else:
-        movable = [(g, c) for g, c in groups if opts[g]]
-        idle = [(g, c) for g, c in groups if not opts[g]]
-        if not movable:
-            return out
-
-    idle_part: tuple[GameId, ...] = ()
-    for g, c in idle:
-        idle_part += (g,) * c
-
-    if op is Operator.CONJUNCTIVE:
-        per_group = [[chosen for _, chosen in _group_choices(opts[g], c, c)] for g, c in movable]
-        combos = product(*per_group)
-        for combo in combos:
-            parts = idle_part
-            for (g, c), chosen in zip(movable, combo):
-                parts += chosen
-            out.add(tuple(sorted(parts)))
-        return out
-
-    # selective: any assignment, excluding the one that moves nothing
-    per_group = [list(_group_choices(opts[g], c, 0)) for g, c in movable]
-    for combo in product(*per_group):
-        if not any(j for j, _ in combo):
-            continue
-        parts = idle_part
-        for (g, c), (j, chosen) in zip(movable, combo):
-            parts += chosen + (g,) * (c - j)
-        out.add(tuple(sorted(parts)))
-    return out
-
-
-_build_memo: dict[tuple[Operator, bool, tuple[GameId, ...]], GameId] = {}
-
-
-def _composite(op: Operator, comps: Sequence[GameId], literal: bool) -> GameId:
-    """Composite tree for a multiset of components, folding leaves into a shift."""
     folded = Fraction(0)
     core = []
     for g in comps:
@@ -146,17 +172,25 @@ def _composite(op: Operator, comps: Sequence[GameId], literal: bool) -> GameId:
             folded += score(g)
         else:
             core.append(g)
+    if op is not Operator.SEQUENTIAL:
+        core.sort()
+    return folded, tuple(core)
+
+
+_build_memo: dict[tuple[Operator, tuple[GameId, ...]], GameId] = {}
+
+
+def _composite(op: Operator, comps: Sequence[GameId]) -> GameId:
+    """Composite tree of `comps` under `op`, folding leaves into a shift."""
+    folded, core = _fold_leaves(op, comps)
     if not core:
         return number(folded)
-    core_t = tuple(sorted(core))
-    key = (op, literal, core_t)
+    key = (op, core)
     built = _build_memo.get(key)
     if built is None:
-        total = sum((score(g) for g in core_t), Fraction(0))
-        lefts = [_composite(op, ms, literal)
-                 for ms in _successor_multisets(op, core_t, "L", literal)]
-        rights = [_composite(op, ms, literal)
-                  for ms in _successor_multisets(op, core_t, "R", literal)]
+        total = sum((score(g) for g in core), Fraction(0))
+        lefts = [_composite(op, ms) for ms in _successors(op, core, _TREE_MOVES["L"], {})]
+        rights = [_composite(op, ms) for ms in _successors(op, core, _TREE_MOVES["R"], {})]
         built = make_game(lefts, total, rights)
         _build_memo[key] = built
     return shift(built, folded) if folded else built
@@ -180,76 +214,41 @@ def _seq_join(g: GameId, h: GameId) -> GameId:
     return got
 
 
-def sum_games(op: Operator, games: Iterable[GameId], *,
-              conjunctive_literal: bool = False) -> GameId:
+def sum_games(op: Operator, games: Iterable[GameId]) -> GameId:
     """Combine games under `op` into a single interned tree."""
     comps = _validated(games)
     if op is Operator.SEQUENTIAL:
+        # binary join, not _composite: that ran sequential heap_game sums 2.6x slower (GC)
         # right-associated: [a, b, c] becomes a |> (b |> c)
         return reduce(lambda acc, g: _seq_join(g, acc), reversed(comps[:-1]), comps[-1])
-    return _composite(op, comps, conjunctive_literal)
+    return _composite(op, comps)
 
 
-_ms_value_memo: dict[tuple[Operator, bool, str, tuple[GameId, ...]], Fraction] = {}
-_seq_value_memo: dict[tuple[str, tuple[GameId, ...]], Fraction] = {}
+_ms_value_memo: dict[tuple[Operator, str, tuple[GameId, ...]], Fraction] = {}
 
 
-def _ms_value(op: Operator, comps: Sequence[GameId], side: str, literal: bool) -> Fraction:
-    folded = Fraction(0)
-    core = []
-    for g in comps:
-        if is_leaf(g):
-            folded += score(g)
-        else:
-            core.append(g)
+def _ms_value(op: Operator, comps: Sequence[GameId], side: str) -> Fraction:
+    folded, core = _fold_leaves(op, comps)
     if not core:
         return folded
-    core_t = tuple(sorted(core))
-    key = (op, literal, side, core_t)
+    key = (op, side, core)
     val = _ms_value_memo.get(key)
     if val is None:
-        succs = _successor_multisets(op, core_t, side, literal)
+        succs = _successors(op, core, _TREE_MOVES[side], {})
         if not succs:
-            val = sum((score(g) for g in core_t), Fraction(0))
+            val = sum((score(g) for g in core), Fraction(0))
         else:
             flipped = "R" if side == "L" else "L"
-            values = (_ms_value(op, ms, flipped, literal) for ms in succs)
+            values = (_ms_value(op, ms, flipped) for ms in succs)
             val = max(values) if side == "L" else min(values)
         _ms_value_memo[key] = val
     return folded + val
 
 
-def _seq_value(comps: Sequence[GameId], side: str) -> Fraction:
-    folded = Fraction(0)
-    rest = list(comps)
-    while rest and is_leaf(rest[0]):
-        folded += score(rest.pop(0))
-    if not rest:
-        return folded
-    seq = tuple(rest)
-    key = (side, seq)
-    val = _seq_value_memo.get(key)
-    if val is None:
-        head = seq[0]
-        options = left_options(head) if side == "L" else right_options(head)
-        if not options:
-            val = sum((score(g) for g in seq), Fraction(0))
-        else:
-            flipped = "R" if side == "L" else "L"
-            values = (_seq_value((o,) + seq[1:], flipped) for o in options)
-            val = max(values) if side == "L" else min(values)
-        _seq_value_memo[key] = val
-    return folded + val
-
-
-def eval_sum(op: Operator, games: Iterable[GameId], *,
-             conjunctive_literal: bool = False) -> FinalScores:
+def eval_sum(op: Operator, games: Iterable[GameId]) -> FinalScores:
     """Final scores of the composite, computed without materializing it.
 
     Agrees exactly with final_scores(sum_games(op, games)).
     """
     comps = _validated(games)
-    if op is Operator.SEQUENTIAL:
-        return FinalScores(_seq_value(comps, "L"), _seq_value(comps, "R"))
-    return FinalScores(_ms_value(op, comps, "L", conjunctive_literal),
-                       _ms_value(op, comps, "R", conjunctive_literal))
+    return FinalScores(_ms_value(op, comps, "L"), _ms_value(op, comps, "R"))

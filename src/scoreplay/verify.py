@@ -63,17 +63,13 @@ def _random_score(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 3))
 
 
-def check_conjunctive_pair(samples: int = 100, seed: int = 0,
-                           literal: bool = False) -> CheckResult:
+def check_conjunctive_pair(samples: int = 100, seed: int = 0) -> CheckResult:
     """Two one-lane ladder games with known component and sum scores.
 
     G is a ladder Left enters and Right then chases; H mirrors it.  Under
     the conjunctive operator every turn moves both lanes, so the play is
     completely forced and the final scores come out as e+j and e+k no
-    matter which rationals sit on the labels.  The `literal` flag runs
-    the sum with the formula-only conjunctive semantics instead; that
-    variant ends composite play as soon as one side of one component dries
-    up, and this check is expected to fail under it.
+    matter which rationals sit on the labels.
     """
     rng = random.Random(seed)
     failures: list[str] = []
@@ -91,8 +87,7 @@ def check_conjunctive_pair(samples: int = 100, seed: int = 0,
             ("SL(H)", final_scores(big_h).sl, g),
             ("SR(H)", final_scores(big_h).sr, i),
         ]
-        composed = eval_sum(Operator.CONJUNCTIVE, [big_g, big_h],
-                            conjunctive_literal=literal)
+        composed = eval_sum(Operator.CONJUNCTIVE, [big_g, big_h])
         checks.append(("SL(G and H)", composed.sl, e + j))
         checks.append(("SR(G and H)", composed.sr, e + k))
         for label, got, want in checks:
@@ -416,16 +411,12 @@ check_names: tuple[str, ...] = tuple(name for name, _, _ in _CHECKS)
 
 
 def run_checks(seed: int = 0, samples: Optional[int] = None,
-               literal_conjunctive: bool = False,
                only: Optional[Sequence[str]] = None) -> list[CheckResult]:
     """Run the battery; `samples` overrides every randomized count.
 
     `only` restricts the run to checks whose name contains one of the
     given substrings; an empty selection is a ValueError so a typo cannot
-    masquerade as a green run.  `literal_conjunctive` reroutes the
-    paired-tree conjunctive check through the literal simultaneous-move
-    recursion.  That check is then expected to fail; the flag exists to
-    keep the divergence between the two readings demonstrable end to end.
+    masquerade as a green run.
     """
     picked = [(name, func, randomized) for name, func, randomized in _CHECKS
               if only is None or any(pat in name for pat in only)]
@@ -435,8 +426,6 @@ def run_checks(seed: int = 0, samples: Optional[int] = None,
     results = []
     for name, func, randomized in picked:
         kwargs: dict = {}
-        if func is check_conjunctive_pair and literal_conjunctive:
-            kwargs["literal"] = True
         if randomized:
             kwargs["seed"] = seed
             if samples is not None:

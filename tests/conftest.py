@@ -1,9 +1,10 @@
-"""Shared test helpers: a from-scratch oracle evaluator and hypothesis strategies.
+"""Shared test helpers: from-scratch oracle evaluators and hypothesis strategies.
 
-The oracle works on plain nested tuples, never touching the interned
-store or any memo table, so it catches bugs in interning and caching
-rather than inheriting them.  Keep oracle inputs small; it is
-deliberately exponential.
+The tree oracle works on plain nested tuples and the heap oracle on plain
+lists of heap sizes, never touching the interned store, the move
+generator of `scoreplay.operators` or any memo table, so they catch bugs
+in interning, move generation and caching rather than inheriting them.
+Keep oracle inputs small; they are deliberately exponential.
 """
 
 from fractions import Fraction
@@ -64,19 +65,92 @@ def _moves(op: Operator, comps, idx: int):
                 yield comps[:i] + (o,) + comps[i + 1:]
 
 
-def _naive_best(op: Operator, comps, idx: int):
-    succs = list(_moves(op, comps, idx))
+def _strict_conjunctive_moves(comps, idx: int):
+    """Conjunctive moves under the all-components reading: every component
+    moves, and the composite ends once the mover lacks an option in any."""
+    if all(c[idx] for c in comps):
+        yield from product(*(c[idx] for c in comps))
+
+
+def _naive_best(moves, comps, idx: int):
+    succs = list(moves(comps, idx))
     if not succs:
         return sum(c[1] for c in comps)
     nxt = 2 if idx == 0 else 0
-    vals = [_naive_best(op, s, nxt) for s in succs]
+    vals = [_naive_best(moves, s, nxt) for s in succs]
     return max(vals) if idx == 0 else min(vals)
 
 
 def naive_sum_scores(op: Operator, comps):
     """(SL, SR) of a sum of tuple games, by brute-force game search."""
     comps = tuple(comps)
-    return (_naive_best(op, comps, 0), _naive_best(op, comps, 2))
+    moves = lambda cs, idx: _moves(op, cs, idx)
+    return (_naive_best(moves, comps, 0), _naive_best(moves, comps, 2))
+
+
+def naive_strict_conjunctive_scores(comps):
+    """(SL, SR) of a conjunctive sum under the strict all-components reading.
+
+    The engine lets option-less components sit out of a turn; this reading
+    does not, and it gives different scores on some pairs.
+    """
+    comps = tuple(comps)
+    return (_naive_best(_strict_conjunctive_moves, comps, 0),
+            _naive_best(_strict_conjunctive_moves, comps, 2))
+
+
+# -- naive octal heap positions ----------------------------------------------
+
+def _naive_heap_options(digits, points, n: int):
+    """(points, remaining heaps) for one heap of n, read off the digit bits."""
+    for k, (d, p) in enumerate(zip(digits, points), start=1):
+        rest = n - k
+        if rest < 0:
+            break
+        if d & 1 and rest == 0:
+            yield p, ()
+        if d & 2 and rest >= 1:
+            yield p, (rest,)
+        if d & 4 and rest >= 2:
+            for a in range(1, rest):
+                yield p, (a, rest - a)
+
+
+def _naive_heap_moves(op: Operator, digits, points, heaps):
+    """(points, successor heap list) for one turn on an ordered heap list."""
+    opts = [list(_naive_heap_options(digits, points, n)) for n in heaps]
+    movable = [i for i, o in enumerate(opts) if o]
+    if op is Operator.DISJUNCTIVE:
+        subsets = [(i,) for i in movable]
+    elif op is Operator.CONJUNCTIVE:
+        subsets = [tuple(movable)] if movable else []
+    elif op is Operator.SELECTIVE:
+        subsets = [s for r in range(1, len(movable) + 1)
+                   for s in combinations(movable, r)]
+    else:
+        subsets = [(i,) for i in movable[:1]]
+    for subset in subsets:
+        for choice in product(*(opts[i] for i in subset)):
+            picked = dict(zip(subset, choice))
+            out = []
+            for i, n in enumerate(heaps):
+                out.extend(picked[i][1] if i in picked else (n,))
+            yield sum(p for p, _ in choice), tuple(out)
+
+
+def naive_heap_value(op: Operator, digits, points, heaps) -> Fraction:
+    """Mover-relative value of an ordered heap list, by memo-free search.
+
+    Independent of `scoreplay.octal`: moves come straight from the digit
+    bits, every heap stays in place (dead ones included) and no state is
+    ever canonicalized or cached.
+    """
+    best = None
+    for p, succ in _naive_heap_moves(op, digits, points, heaps):
+        v = p - naive_heap_value(op, digits, points, succ)
+        if best is None or v > best:
+            best = v
+    return Fraction(0) if best is None else best
 
 
 # -- hypothesis strategies ---------------------------------------------------

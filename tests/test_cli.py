@@ -182,14 +182,6 @@ def test_verify_quick_check_passes(capsys):
     assert "1/1 checks passed" in out
 
 
-def test_verify_literal_hook_fails_pair_check(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--only", "conjunctive-pair",
-                       "--literal-conjunctive", "--samples", "5")
-    assert code == 1
-    assert out.startswith("FAIL  conjunctive-pair-scores")
-    assert "0/1 checks passed" in out
-
-
 def test_verify_json_shape(capsys):
     code, out, _ = run(capsys, "verify-paper", "--only", "notation-round-trip",
                        "--samples", "10", "--json")

@@ -1,11 +1,16 @@
 """Octal heap rulesets: move generation, values, tables, period hunting."""
 
+import sys
+import threading
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import naive_heap_value
+from scoreplay import octal
 from scoreplay import (OctalRuleset, Operator, compare_periods, default_points,
                        final_scores, find_period, grundy_value, heap_game,
                        heap_moves, heap_value, is_impartial, number,
@@ -78,6 +83,56 @@ def test_conjunctive_pair_value():
 
 def test_sequential_pair_value():
     assert grundy_value(Operator.SEQUENTIAL, [(R33, 2), (R33, 3)]) == 1
+
+
+def _small_positions(max_heaps=3, max_beans=7):
+    """Every ordered list of 1..max_heaps heaps with at most max_beans beans."""
+    for k in range(1, max_heaps + 1):
+        for sizes in product(range(1, max_beans + 1), repeat=k):
+            if sum(sizes) <= max_beans:
+                yield sizes
+
+
+@pytest.mark.parametrize("rules,op", [
+    (rules, op) for rules in (R007, R33) for op in Operator
+    # splitting rulesets have no sequential reading
+    if not (op is Operator.SEQUENTIAL and rules.can_split)], ids=str)
+def test_grundy_value_matches_naive_heap_oracle(rules, op):
+    for sizes in _small_positions():
+        want = naive_heap_value(op, rules.digits, rules.points, sizes)
+        assert grundy_value(op, [(rules, n) for n in sizes]) == want, sizes
+
+
+def test_ruleset_interning_is_thread_safe():
+    # a lost race gives one ruleset two ids, or one id to two rulesets;
+    # each round interns 200 fresh rulesets from 4 threads at once
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(10):
+            fresh = [OctalRuleset((3, 3), (F(k, 7919), F(round_ + 3)))
+                     for k in range(1, 201)]
+            assert not any(r in octal._rids for r in fresh)
+            start = threading.Barrier(4)
+            seen: list = [None] * 4
+
+            def intern(t):
+                start.wait()
+                seen[t] = [octal._rid(r) for r in fresh]
+
+            threads = [threading.Thread(target=intern, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            assert seen[0] is not None and all(ids == seen[0] for ids in seen)
+            assert len(set(seen[0])) == len(fresh)
+            for r, rid in zip(fresh, seen[0]):
+                assert octal._rulesets[rid] == r
+                assert octal._rids[r] == rid
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_grundy_value_input_checks():

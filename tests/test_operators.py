@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import as_tuple, naive_sum_scores, small_games_st
+from conftest import (as_tuple, naive_strict_conjunctive_scores,
+                      naive_sum_scores, small_games_st)
 from scoreplay import (Operator, eval_sum, final_scores, identity_game,
                        make_game, number, outcome, parse_game, score,
                        sum_games)
@@ -54,11 +55,11 @@ def test_conjunctive_paired_towers():
 
 
 def test_conjunctive_literal_reading_differs():
+    # the strict all-components reading lives only in the test oracle
     g, h = paired_towers()
-    strict = eval_sum(Operator.CONJUNCTIVE, [g, h], conjunctive_literal=True)
-    assert (strict.sl, strict.sr) != (5, 7)
-    tree = sum_games(Operator.CONJUNCTIVE, [g, h], conjunctive_literal=True)
-    assert final_scores(tree) == strict
+    strict = naive_strict_conjunctive_scores([as_tuple(g), as_tuple(h)])
+    assert strict != (5, 7)
+    assert eval_sum(Operator.CONJUNCTIVE, [g, h]) == (5, 7)
 
 
 def test_selective_chain_pair():
@@ -109,6 +110,18 @@ def test_matches_brute_force_oracle(op, comps):
     expected = naive_sum_scores(op, [as_tuple(g) for g in comps])
     fs = eval_sum(op, comps)
     assert (fs.sl, fs.sr) == expected
+
+
+@given(st.sampled_from(OPS), small_games_st, small_games_st,
+       st.sampled_from(("gg", "ggh", "ghg")))
+@settings(max_examples=100, deadline=None)
+def test_repeated_components_match_brute_force_oracle(op, g, h, shape):
+    # equal components take the grouped path of the move generator
+    comps = [{"g": g, "h": h}[c] for c in shape]
+    expected = naive_sum_scores(op, [as_tuple(x) for x in comps])
+    fs = eval_sum(op, comps)
+    assert (fs.sl, fs.sr) == expected
+    assert final_scores(sum_games(op, comps)) == fs
 
 
 @given(st.sampled_from(COMMUTATIVE),
