@@ -30,15 +30,12 @@ from .evaluate import final_scores, outcome_of_scores
 from .game import GameId
 from .notation import (NotationError, format_game, format_score, parse_game,
                        parse_game_lines, parse_octal)
-from .octal import OctalRuleset, compare_periods, find_period, value_table
+from .octal import (OctalRuleset, _frac_json, compare_periods, find_period,
+                    value_table)
 from .operators import Operator, eval_sum
 from .verify import run_checks
 
 SCHEMA_VERSION = "1"
-
-
-def _score_json(v: Fraction):
-    return int(v) if v.denominator == 1 else format_score(v)
 
 
 def _render_json(report: dict) -> str:
@@ -103,8 +100,8 @@ def cmd_eval(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "eval",
             "games": [{"game": text,
-                       "sl": _score_json(fs.sl),
-                       "sr": _score_json(fs.sr),
+                       "sl": _frac_json(fs.sl),
+                       "sr": _frac_json(fs.sr),
                        "outcome": outcome_of_scores(fs).value}
                       for text, fs in rows],
         }
@@ -127,8 +124,8 @@ def cmd_sum(args) -> int:
             "command": "sum",
             "operator": args.op.value,
             "components": [format_game(g) for g in games],
-            "sl": _score_json(fs.sl),
-            "sr": _score_json(fs.sr),
+            "sl": _frac_json(fs.sl),
+            "sr": _frac_json(fs.sr),
             "outcome": verdict.value,
         }
         _emit(_render_json(report), args.output)
@@ -169,7 +166,7 @@ def cmd_gs(args) -> int:
             "tail": [[args.rules.notation(), n] for n in args.tail],
             "n_max": args.n_max,
             "min_confirm": args.min_confirm,
-            "table": [_score_json(v) for v in table],
+            "table": [_frac_json(v) for v in table],
             "period": period.to_dict() if period else None,
         }
         _emit(_render_json(report), args.output)

@@ -6,10 +6,12 @@ hash-consed in a process-global append-only store, so structurally equal
 trees always receive the same integer id.  Id equality *is* structural
 equality, which lets every other module memoize on plain ints.
 
-Option tuples are kept sorted under a structural total order (score first,
-then Left options lexicographically, then Right options), so the canonical
-form of a tree does not depend on construction order and printed output is
-stable across runs.
+Lookups key a node by its option ids, deduplicated and sorted as plain
+ints, so finding a node that already exists never compares trees.  Each
+new node also stores its options in a structural total order (score
+first, then Left options lexicographically, then Right options), computed
+once when it is interned; that stored order does not depend on
+construction order, and printed output is stable across runs.
 
 Scores are `fractions.Fraction` throughout.  Floats are rejected: this
 library is exact or it is nothing.
@@ -34,7 +36,6 @@ _Node = tuple[tuple[GameId, ...], Fraction, tuple[GameId, ...]]
 _lock = threading.Lock()
 _nodes: list[_Node] = []
 _index: dict[_Node, GameId] = {}
-_cmp_memo: dict[tuple[GameId, GameId], int] = {}
 
 
 def as_score(value: ScoreLike) -> Fraction:
@@ -58,44 +59,33 @@ def _compare(a: GameId, b: GameId) -> int:
     """Structural total order on interned games.
 
     Only canonical (interned) nodes are ever compared, so two distinct ids
-    always differ somewhere and the result is never 0 for a != b.
+    always differ somewhere and the result is never 0 for a != b.  Equal
+    children share an id, so only the first differing pair is followed.
     """
     if a == b:
         return 0
-    key = (a, b)
-    got = _cmp_memo.get(key)
-    if got is not None:
-        return got
     la, sa, ra = _nodes[a]
     lb, sb, rb = _nodes[b]
-    result = 0
     if sa != sb:
-        result = -1 if sa < sb else 1
-    else:
-        for xs, ys in ((la, lb), (ra, rb)):
-            for x, y in zip(xs, ys):
-                c = _compare(x, y)
-                if c:
-                    result = c
-                    break
-            if not result and len(xs) != len(ys):
-                result = -1 if len(xs) < len(ys) else 1
-            if result:
-                break
-    _cmp_memo[key] = result
-    _cmp_memo[(b, a)] = -result
-    return result
+        return -1 if sa < sb else 1
+    for xs, ys in ((la, lb), (ra, rb)):
+        for x, y in zip(xs, ys):
+            if x != y:
+                return _compare(x, y)
+        if len(xs) != len(ys):
+            return -1 if len(xs) < len(ys) else 1
+    return 0
 
 
 structural_sort_key = cmp_to_key(_compare)
 
 
-def _canonical_options(ids: Iterable[GameId]) -> tuple[GameId, ...]:
+def _option_ids(ids: Iterable[GameId]) -> tuple[GameId, ...]:
     unique = set()
     for g in ids:
         _node(g)
         unique.add(g)
-    return tuple(sorted(unique, key=structural_sort_key))
+    return tuple(sorted(unique))
 
 
 def make_game(left: Iterable[GameId], score: ScoreLike, right: Iterable[GameId]) -> GameId:
@@ -105,15 +95,18 @@ def make_game(left: Iterable[GameId], score: ScoreLike, right: Iterable[GameId])
     with the same id no matter how it was assembled.
     """
     s = as_score(score)
-    key = (_canonical_options(left), s, _canonical_options(right))
+    key = (_option_ids(left), s, _option_ids(right))
     got = _index.get(key)
     if got is not None:
         return got
     with _lock:
         got = _index.get(key)
         if got is None:
+            node = (tuple(sorted(key[0], key=structural_sort_key)), s,
+                    tuple(sorted(key[2], key=structural_sort_key)))
             got = len(_nodes)
-            _nodes.append(key)
+            # share the key's tuples when the id and structural orders agree
+            _nodes.append(key if node == key else node)
             _index[key] = got
         return got
 

@@ -58,7 +58,7 @@ class _Parser:
 
     def rational(self) -> Fraction:
         start = self.pos
-        if self.peek() in "+-":
+        if self.peek() in ("+", "-"):
             self.pos += 1
         digits = self.pos
         while self.peek().isdigit():
@@ -98,7 +98,7 @@ class _Parser:
             self.skip_ws()
             self.take("}")
             return make_game(lefts, s, rights)
-        if c.isdigit() or c in "+-":
+        if c.isdigit() or c in ("+", "-"):
             return make_game((), self.rational(), ())
         self.error("expected a game")
 
@@ -130,21 +130,13 @@ def format_score(value: Fraction) -> str:
     return str(value)
 
 
-_format_memo: dict[GameId, str] = {}
-
-
 def format_game(g: GameId) -> str:
     """Canonical text for a game; round-trips through parse_game."""
-    got = _format_memo.get(g)
-    if got is None:
-        if is_leaf(g):
-            got = format_score(score(g))
-        else:
-            lefts = ",".join(format_game(x) for x in left_options(g)) or "."
-            rights = ",".join(format_game(x) for x in right_options(g)) or "."
-            got = "{%s|%s|%s}" % (lefts, format_score(score(g)), rights)
-        _format_memo[g] = got
-    return got
+    if is_leaf(g):
+        return format_score(score(g))
+    lefts = ",".join(format_game(x) for x in left_options(g)) or "."
+    rights = ",".join(format_game(x) for x in right_options(g)) or "."
+    return "{%s|%s|%s}" % (lefts, format_score(score(g)), rights)
 
 
 def parse_game_lines(text: str | Iterable[str]) -> list[GameId]:

@@ -142,15 +142,8 @@ def heap_moves(rules: OctalRuleset, n: int) -> tuple[tuple[Fraction, tuple[int, 
     return _raw_moves(_rid(rules), n)
 
 
-_alive_memo: dict[tuple[int, int], bool] = {}
-
-
 def _alive(heap: tuple[int, int]) -> bool:
-    got = _alive_memo.get(heap)
-    if got is None:
-        got = bool(_raw_moves(*heap))
-        _alive_memo[heap] = got
-    return got
+    return bool(_raw_moves(*heap))
 
 
 _scaled_moves_cache: dict[int, dict[tuple[int, int], tuple]] = {}

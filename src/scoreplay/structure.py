@@ -155,17 +155,6 @@ class IdentityTestReport:
     def all_passed(self) -> bool:
         return self.passes == self.samples
 
-    def to_dict(self) -> dict:
-        return {
-            "candidate": format_game(self.candidate),
-            "operator": self.operator.value,
-            "samples": self.samples,
-            "passes": self.passes,
-            "all_passed": self.all_passed,
-            "first_counterexample": (None if self.first_counterexample is None
-                                     else format_game(self.first_counterexample)),
-        }
-
 
 def identity_test(candidate: GameId, op: Operator, samples: int = 200,
                   params: Optional[ImpartialParams] = None) -> IdentityTestReport:
@@ -200,14 +189,6 @@ class ContextWitness:
     def __post_init__(self):
         if self.outcome_composed == self.outcome_baseline:
             raise ValueError("a witness must record two different outcomes")
-
-    def to_dict(self) -> dict:
-        return {
-            "context": format_game(self.context),
-            "operator": self.operator.value,
-            "outcome_composed": self.outcome_composed.value,
-            "outcome_baseline": self.outcome_baseline.value,
-        }
 
 
 def nonzero_witness(g: GameId, op: Operator) -> ContextWitness:

@@ -258,11 +258,14 @@ def check_tree_oracle(bean_max: int = 12) -> CheckResult:
     """
     failures: list[str] = []
     counted = 0
-    commutative = (Operator.DISJUNCTIVE, Operator.CONJUNCTIVE, Operator.SELECTIVE)
     for rules in BATTERY:
-        for op in commutative:
+        for op in Operator:
+            sequential = op is Operator.SEQUENTIAL
+            if sequential and rules.can_split:
+                continue
             for total in range(1, bean_max + 1):
-                for parts in _partitions(total, total):
+                shapes = _compositions(total) if sequential else _partitions(total, total)
+                for parts in shapes:
                     counted += 1
                     pos = [(rules, n) for n in parts]
                     trees = [heap_game(rules, n, op, cap=bean_max) for n in parts]
@@ -271,19 +274,6 @@ def check_tree_oracle(bean_max: int = 12) -> CheckResult:
                     if got != want:
                         failures.append(f"{rules.notation()} {op.value} {parts}: "
                                         f"tree {got} != heap {want}")
-        if rules.can_split:
-            continue
-        for total in range(1, bean_max + 1):
-            for parts in _compositions(total):
-                counted += 1
-                pos = [(rules, n) for n in parts]
-                trees = [heap_game(rules, n, Operator.SEQUENTIAL, cap=bean_max)
-                         for n in parts]
-                got = final_scores(sum_games(Operator.SEQUENTIAL, trees)).sl
-                want = grundy_value(Operator.SEQUENTIAL, pos)
-                if got != want:
-                    failures.append(f"{rules.notation()} sequential {parts}: "
-                                    f"tree {got} != heap {want}")
     return _verdict("heap-tree-oracle", failures,
                     f"{counted} positions, heap recursion matches the trees")
 

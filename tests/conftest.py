@@ -24,6 +24,17 @@ def as_tuple(g: GameId):
             tuple(as_tuple(x) for x in right_options(g)))
 
 
+def oracle_key(t):
+    """Structural sort key of a tuple game: score, then each side's keys sorted.
+
+    Built from plain tuples, so it checks the engine's stored option order
+    without calling the engine's comparator.
+    """
+    left, s, right = t
+    return (s, tuple(sorted(oracle_key(x) for x in left)),
+            tuple(sorted(oracle_key(x) for x in right)))
+
+
 def naive_scores(t):
     """(SL, SR) of a tuple game, straight off the definition."""
     left, s, right = t

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import games_st, scores_st
+from conftest import as_tuple, games_st, oracle_key, scores_st
 from scoreplay import (final_scores, format_game, is_leaf, left_options,
                        make_game, max_score_magnitude, negate, number,
                        parse_game, reverse, right_options, score, shift,
@@ -129,3 +129,26 @@ def test_structural_sort_key_total_order(games):
     for (ka, ga), (kb, gb) in zip(ranked, ranked[1:]):
         if ka == kb:
             assert ga == gb
+
+
+def _assert_options_in_oracle_order(t):
+    left, _, right = t
+    for side in (left, right):
+        keys = [oracle_key(x) for x in side]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for x in side:
+            _assert_options_in_oracle_order(x)
+
+
+@given(games_st())
+def test_stored_options_follow_structural_order(g):
+    _assert_options_in_oracle_order(as_tuple(g))
+
+
+def test_stored_order_is_structural_not_interning_order():
+    hi = number(Fraction(9001, 13))
+    lo = number(Fraction(9000, 13))
+    assert hi < lo
+    g = make_game([hi, lo], 0, [])
+    assert left_options(g) == (lo, hi)
+    assert format_game(g) == "{9000/13,9001/13|0|.}"

@@ -61,6 +61,21 @@ def test_parse_error_carries_position():
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("", "expected a game", 0),
+    ("  ", "expected a game", 2),
+    ("{", "expected a game", 1),
+    ("{0,", "expected a game", 3),
+    ("{0|", "expected a number", 3),
+    ("{0|1|", "expected a game", 5),
+])
+def test_parse_error_at_end_of_text(text, message, position):
+    with pytest.raises(NotationError) as err:
+        parse_game(text)
+    assert err.value.position == position <= len(text)
+    assert str(err.value).startswith(message)
+
+
 def test_format_leaf():
     assert format_game(number(0)) == "0"
     assert format_game(number(Fraction(-1, 3))) == "-1/3"
