@@ -13,7 +13,7 @@ byte-identical output.  JSON reports carry a ``schema_version`` field and
 sorted keys, and serialize scores as integers or "num/den" strings.
 
 Exit status: 0 on success, 1 when a check fails, 2 on usage or parse
-errors.
+errors and on input too deep or too large to evaluate.
 """
 
 from __future__ import annotations
@@ -356,6 +356,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"scoreplay: error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError):
+        print("scoreplay: error: input too deep or too large to evaluate", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .game import GameId, _node
+from .game import GameId, _node, _nodes
 
 
 class FinalScores(NamedTuple):
@@ -35,11 +35,17 @@ _scores_memo: dict[GameId, FinalScores] = {}
 
 
 def final_scores(g: GameId) -> FinalScores:
+    _node(g)
+    return _scores(g)
+
+
+def _scores(g: GameId) -> FinalScores:
+    """`final_scores` for a known id."""
     got = _scores_memo.get(g)
     if got is None:
-        left, s, right = _node(g)
-        sl = max(final_scores(x).sr for x in left) if left else s
-        sr = min(final_scores(x).sl for x in right) if right else s
+        left, s, right = _nodes[g]
+        sl = max(_scores(x).sr for x in left) if left else s
+        sr = min(_scores(x).sl for x in right) if right else s
         got = FinalScores(sl, sr)
         _scores_memo[g] = got
     return got

@@ -13,6 +13,13 @@ first, then Left options lexicographically, then Right options), computed
 once when it is interned; that stored order does not depend on
 construction order, and printed output is stable across runs.
 
+Ids are checked once, at the public API: `make_game`, `shift` and the
+accessors raise ValueError for an unknown id.  The engine's own builders
+hold ids that are known already; they read `_nodes[g]` directly and
+intern through `_make`, which takes option ids that are unique and
+sorted as ints and checks nothing.  The shift memo is nested by amount,
+`_shift_memo[amount][g]`, so the walk under one amount keys on ints.
+
 Scores are `fractions.Fraction` throughout.  Floats are rejected: this
 library is exact or it is nothing.
 
@@ -95,15 +102,20 @@ def make_game(left: Iterable[GameId], score: ScoreLike, right: Iterable[GameId])
     with the same id no matter how it was assembled.
     """
     s = as_score(score)
-    key = (_option_ids(left), s, _option_ids(right))
+    return _make(_option_ids(left), s, _option_ids(right))
+
+
+def _make(left: tuple[GameId, ...], s: Fraction, right: tuple[GameId, ...]) -> GameId:
+    """`make_game` for option ids that are known, unique and sorted as ints."""
+    key = (left, s, right)
     got = _index.get(key)
     if got is not None:
         return got
     with _lock:
         got = _index.get(key)
         if got is None:
-            node = (tuple(sorted(key[0], key=structural_sort_key)), s,
-                    tuple(sorted(key[2], key=structural_sort_key)))
+            node = (tuple(sorted(left, key=structural_sort_key)), s,
+                    tuple(sorted(right, key=structural_sort_key)))
             got = len(_nodes)
             # share the key's tuples when the id and structural orders agree
             _nodes.append(key if node == key else node)
@@ -140,7 +152,7 @@ def store_size() -> int:
 
 _negate_memo: dict[GameId, GameId] = {}
 _reverse_memo: dict[GameId, GameId] = {}
-_shift_memo: dict[tuple[GameId, Fraction], GameId] = {}
+_shift_memo: dict[Fraction, dict[GameId, GameId]] = {}
 _magnitude_memo: dict[GameId, Fraction] = {}
 
 
@@ -171,15 +183,28 @@ def reverse(g: GameId) -> GameId:
 def shift(g: GameId, amount: ScoreLike) -> GameId:
     """Add `amount` to the score of every node in the tree."""
     c = as_score(amount)
+    _node(g)
+    return _shift(g, c)
+
+
+def _shift(g: GameId, c: Fraction) -> GameId:
+    """`shift` for a known id and an exact amount."""
     if not c:
-        _node(g)
         return g
-    key = (g, c)
-    got = _shift_memo.get(key)
+    memo = _shift_memo.get(c)
+    if memo is None:
+        memo = _shift_memo.setdefault(c, {})
+    return _shift_walk(g, c, memo)
+
+
+def _shift_walk(g: GameId, c: Fraction, memo: dict[GameId, GameId]) -> GameId:
+    got = memo.get(g)
     if got is None:
-        left, s, right = _node(g)
-        got = make_game([shift(x, c) for x in left], s + c, [shift(x, c) for x in right])
-        _shift_memo[key] = got
+        left, s, right = _nodes[g]
+        # shifting is injective, so the shifted options stay unique
+        got = _make(tuple(sorted([_shift_walk(x, c, memo) for x in left])), s + c,
+                    tuple(sorted([_shift_walk(x, c, memo) for x in right])))
+        memo[g] = got
     return got
 
 

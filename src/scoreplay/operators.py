@@ -22,6 +22,14 @@ ending at any point pays out the sum of wherever each component stopped.
 ids without building the tree.  The two must agree exactly, and the test
 suite holds them to that.  `_successors` is the one place that knows the
 four move rules; the octal heap recursion uses it too.
+
+Both sort the components once, at the public call; successor states
+come back sorted, so the recursion never sorts again.  The composite
+memo keys on that raw sorted state, leaves included, so each successor
+edge of a tree sum costs one int-keyed lookup.  Leaves are folded only
+on a miss.  A sum of one game is that game, shifted by the leaves beside
+it, under every operator: `_composite` returns it and `eval_sum` reads
+its final scores, without generating its successors.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ from functools import reduce
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Sequence
 
-from .evaluate import FinalScores
-from .game import GameId, _node, is_leaf, left_options, make_game, number, right_options, score, shift
+from .evaluate import FinalScores, _scores
+from .game import GameId, _make, _node, _nodes, _shift
 
 
 class Operator(Enum):
@@ -143,57 +151,69 @@ def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> dict[
     return succs
 
 
-def _validated(games: Iterable[GameId]) -> tuple[GameId, ...]:
+def _state(op: Operator, games: Iterable[GameId]) -> tuple[GameId, ...]:
+    """The checked components as a canonical state (see `_successors`)."""
     comps = tuple(games)
     if not comps:
         raise ValueError("a sum needs at least one component")
     for g in comps:
         _node(g)
-    return comps
+    return comps if op is Operator.SEQUENTIAL else tuple(sorted(comps))
 
 
 #: Tree components as `_successors` sees them: a move replaces the
 #: component by one of the mover's options and scores nothing by itself.
 _TREE_MOVES = {
-    "L": lambda g: tuple((0, (o,)) for o in left_options(g)),
-    "R": lambda g: tuple((0, (o,)) for o in right_options(g)),
+    "L": lambda g: tuple((0, (o,)) for o in _nodes[g][0]),
+    "R": lambda g: tuple((0, (o,)) for o in _nodes[g][2]),
 }
 
 
-def _fold_leaves(op: Operator, comps: Sequence[GameId]) -> tuple[Fraction, tuple[GameId, ...]]:
+def _fold_leaves(state: tuple[GameId, ...]) -> tuple[Fraction, tuple[GameId, ...]]:
     """Split off the option-less components, which only add their score.
 
-    Returns (their total score, the canonical state of the rest).
+    Returns (their total score, the state of the rest), the rest keeping
+    the order it had in `state`.
     """
     folded = Fraction(0)
     core = []
-    for g in comps:
-        if is_leaf(g):
-            folded += score(g)
-        else:
+    for g in state:
+        left, s, right = _nodes[g]
+        if left or right:
             core.append(g)
-    if op is not Operator.SEQUENTIAL:
-        core.sort()
+        else:
+            folded += s
     return folded, tuple(core)
 
 
-_build_memo: dict[tuple[Operator, tuple[GameId, ...]], GameId] = {}
+_build_memo: dict[Operator, dict[tuple[GameId, ...], GameId]] = {
+    op: {} for op in Operator if op is not Operator.SEQUENTIAL}
 
 
-def _composite(op: Operator, comps: Sequence[GameId]) -> GameId:
-    """Composite tree of `comps` under `op`, folding leaves into a shift."""
-    folded, core = _fold_leaves(op, comps)
-    if not core:
-        return number(folded)
-    key = (op, core)
-    built = _build_memo.get(key)
-    if built is None:
-        total = sum((score(g) for g in core), Fraction(0))
-        lefts = [_composite(op, ms) for ms in _successors(op, core, _TREE_MOVES["L"], {})]
-        rights = [_composite(op, ms) for ms in _successors(op, core, _TREE_MOVES["R"], {})]
-        built = make_game(lefts, total, rights)
-        _build_memo[key] = built
-    return shift(built, folded) if folded else built
+def _composite(op: Operator, state: tuple[GameId, ...], memo: dict) -> GameId:
+    """Composite tree of the sorted `state` under a commutative `op`.
+
+    `memo` is `_build_memo[op]`, keyed on the state as it comes, leaves
+    and all: successor states are sorted already, so a hit costs one
+    lookup.  Leaves fold into a shift of the composite of the rest.
+    """
+    got = memo.get(state)
+    if got is None:
+        folded, core = _fold_leaves(state)
+        if not core:
+            got = _make((), folded, ())
+        elif len(core) == 1:
+            # a sum of one game is that game
+            got = _shift(core[0], folded)
+        elif folded:
+            got = _shift(_composite(op, core, memo), folded)
+        else:
+            total = sum((_nodes[g][1] for g in core), Fraction(0))
+            lefts = {_composite(op, ms, memo) for ms in _successors(op, core, _TREE_MOVES["L"], {})}
+            rights = {_composite(op, ms, memo) for ms in _successors(op, core, _TREE_MOVES["R"], {})}
+            got = _make(tuple(sorted(lefts)), total, tuple(sorted(rights)))
+        memo[state] = got
+    return got
 
 
 _seq_join_memo: dict[tuple[GameId, GameId], GameId] = {}
@@ -201,47 +221,56 @@ _seq_join_memo: dict[tuple[GameId, GameId], GameId] = {}
 
 def _seq_join(g: GameId, h: GameId) -> GameId:
     """Binary sequential join: play g out, then h, scores accumulating."""
-    if is_leaf(g):
-        return shift(h, score(g))
+    left, s, right = _nodes[g]
+    if not left and not right:
+        return _shift(h, s)
     key = (g, h)
     got = _seq_join_memo.get(key)
     if got is None:
-        left, s, right = _node(g)
-        got = make_game([_seq_join(x, h) for x in left],
-                        s + score(h),
-                        [_seq_join(x, h) for x in right])
+        got = _make(tuple(sorted({_seq_join(x, h) for x in left})),
+                    s + _nodes[h][1],
+                    tuple(sorted({_seq_join(x, h) for x in right})))
         _seq_join_memo[key] = got
     return got
 
 
 def sum_games(op: Operator, games: Iterable[GameId]) -> GameId:
     """Combine games under `op` into a single interned tree."""
-    comps = _validated(games)
+    state = _state(op, games)
     if op is Operator.SEQUENTIAL:
         # binary join, not _composite: that ran sequential heap_game sums 2.6x slower (GC)
         # right-associated: [a, b, c] becomes a |> (b |> c)
-        return reduce(lambda acc, g: _seq_join(g, acc), reversed(comps[:-1]), comps[-1])
-    return _composite(op, comps)
+        return reduce(lambda acc, g: _seq_join(g, acc), reversed(state[:-1]), state[-1])
+    return _composite(op, state, _build_memo[op])
 
 
-_ms_value_memo: dict[tuple[Operator, str, tuple[GameId, ...]], Fraction] = {}
+_ms_value_memo: dict[Operator, dict[str, dict[tuple[GameId, ...], Fraction]]] = {
+    op: {"L": {}, "R": {}} for op in Operator}
 
 
-def _ms_value(op: Operator, comps: Sequence[GameId], side: str) -> Fraction:
-    folded, core = _fold_leaves(op, comps)
+def _ms_value(op: Operator, state: tuple[GameId, ...], side: str, memos: dict) -> Fraction:
+    """Final score of the composite of `state` with `side` to move.
+
+    `memos` is `_ms_value_memo[op]`, keyed per side on the state with its
+    leaves removed.
+    """
+    folded, core = _fold_leaves(state)
     if not core:
         return folded
-    key = (op, side, core)
-    val = _ms_value_memo.get(key)
+    if len(core) == 1:
+        fs = _scores(core[0])
+        return folded + (fs.sl if side == "L" else fs.sr)
+    memo = memos[side]
+    val = memo.get(core)
     if val is None:
         succs = _successors(op, core, _TREE_MOVES[side], {})
         if not succs:
-            val = sum((score(g) for g in core), Fraction(0))
+            val = sum((_nodes[g][1] for g in core), Fraction(0))
         else:
             flipped = "R" if side == "L" else "L"
-            values = (_ms_value(op, ms, flipped) for ms in succs)
+            values = (_ms_value(op, ms, flipped, memos) for ms in succs)
             val = max(values) if side == "L" else min(values)
-        _ms_value_memo[key] = val
+        memo[core] = val
     return folded + val
 
 
@@ -250,5 +279,6 @@ def eval_sum(op: Operator, games: Iterable[GameId]) -> FinalScores:
 
     Agrees exactly with final_scores(sum_games(op, games)).
     """
-    comps = _validated(games)
-    return FinalScores(_ms_value(op, comps, "L"), _ms_value(op, comps, "R"))
+    state = _state(op, games)
+    memos = _ms_value_memo[op]
+    return FinalScores(_ms_value(op, state, "L", memos), _ms_value(op, state, "R", memos))

@@ -1,9 +1,15 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scoreplay
+from scoreplay import cli
 from scoreplay.cli import main
 
 
@@ -57,6 +63,32 @@ def test_eval_reads_file(capsys, tmp_path):
 def test_eval_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--file", str(tmp_path / "nope"))
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_too_deep_or_too_large_exits_2(capsys, monkeypatch, error):
+    def cmd_eval(args):
+        raise error()
+    monkeypatch.setattr(cli, "cmd_eval", cmd_eval)
+    code, out, err = run(capsys, "eval", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "scoreplay: error: input too deep or too large to evaluate\n"
+
+
+def test_deep_game_file_exits_2_without_traceback(tmp_path):
+    text = "0"
+    for _ in range(1500):
+        text = "{%s|0|.}" % text
+    path = tmp_path / "deep.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(scoreplay.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "scoreplay", "eval", "--file", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "scoreplay: error: input too deep or too large to evaluate"]
 
 
 def test_sum_sequential_leaves(capsys):

@@ -48,6 +48,18 @@ def test_make_game_rejects_unknown_ids():
         make_game([10 ** 12], 0, [])
 
 
+@pytest.mark.parametrize("bad", [-1, 10 ** 12, True, "0"])
+def test_unknown_ids_rejected_at_the_public_api(bad):
+    with pytest.raises(ValueError, match="unknown game id"):
+        make_game([number(0)], 0, [number(1), bad])
+    with pytest.raises(ValueError, match="unknown game id"):
+        shift(bad, 1)
+    with pytest.raises(ValueError, match="unknown game id"):
+        shift(bad, 0)
+    with pytest.raises(ValueError, match="unknown game id"):
+        final_scores(bad)
+
+
 def test_make_game_rejects_floats():
     with pytest.raises(TypeError):
         make_game([], 0.5, [])
@@ -101,6 +113,7 @@ def test_reverse_is_involution(g):
 @given(games_st(max_leaves=6), scores_st, scores_st)
 def test_shift_composes_additively(g, a, b):
     assert shift(shift(g, a), b) == shift(g, a + b)
+    assert shift(g, 0) == g
 
 
 @given(games_st(max_leaves=6), scores_st)

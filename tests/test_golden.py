@@ -1,0 +1,93 @@
+"""Pinned reports: CLI output and composite trees, byte for byte.
+
+The files under tests/data/ hold the expected output.  Unlike a test that
+runs the same code twice, they catch a change in printed option order or
+in any reported number.  After a deliberate change to a report, rewrite
+them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff before committing it.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from scoreplay import Operator, format_game, parse_game, sum_games
+from scoreplay.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+GS = ["gs", "--rules", "0.33:1,2", "--n-max", "25"]
+EVAL_GAMES = ["{97/13,96/13|1|{0|-1/2|.},-7/11}",
+              "{{.|-2|{.|3|{1|0|-4}}}|5|.}",
+              "{{2|3|4},{4|3|2}|0|{1|1|1}}"]
+SUM_COMPONENTS = ["{{4|3|2},1|0|-2}", "{4|3|2}", "1/2"]
+
+#: file name -> scoreplay arguments
+REPORTS = {
+    "gs.txt": GS,
+    "gs.csv": GS + ["--format", "csv"],
+    "gs.json": GS + ["--format", "json"],
+    "period-compare.json": ["period-compare", "--rules", "0.33:1,2",
+                            "--rules", "0.13:1,2", "--n-max", "60", "--json"],
+    "eval.json": ["eval", "--json", *EVAL_GAMES],
+    **{f"sum-{op.value}.json": ["sum", "--op", op.value, "--json", *SUM_COMPONENTS]
+       for op in Operator},
+    "verify-paper.json": ["verify-paper", "--json", "--only", "notation-round-trip",
+                          "--only", "period-anchor"],
+}
+
+#: component lists composed under every operator: a leaf among trees,
+#: a repeated component, one component alone, one tree between leaves
+COMPOSITES = (
+    ("{4|3|2}", "1/2", "{1|0|-1}"),
+    ("{1|0|-1}", "{1|0|-1}", "{2|1|.}"),
+    ("{{3|2|1},5|0|-2}",),
+    ("-1/3", "{.|1|{2|1|.}}", "2"),
+)
+COMPOSITES_FILE = "composites.txt"
+
+
+def report(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise AssertionError(f"scoreplay {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def composites() -> str:
+    lines = []
+    for texts in COMPOSITES:
+        games = [parse_game(t) for t in texts]
+        for op in Operator:
+            lines.append(f"{op.value} [{', '.join(texts)}]: "
+                         f"{format_game(sum_games(op, games))}")
+    return "\n".join(lines) + "\n"
+
+
+def golden(name: str) -> str:
+    return (DATA / name).read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_matches_golden(name):
+    assert report(REPORTS[name]) == golden(name)
+
+
+def test_composite_trees_match_golden():
+    assert composites() == golden(COMPOSITES_FILE)
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    outputs = {name: report(argv) for name, argv in REPORTS.items()}
+    outputs[COMPOSITES_FILE] = composites()
+    for name, text in outputs.items():
+        (DATA / name).write_text(text, encoding="utf-8", newline="")
+        print(f"wrote {DATA / name}")

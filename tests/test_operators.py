@@ -8,10 +8,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import (as_tuple, naive_strict_conjunctive_scores,
-                      naive_sum_scores, small_games_st)
-from scoreplay import (Operator, eval_sum, final_scores, identity_game,
-                       make_game, number, outcome, parse_game, score,
-                       sum_games)
+                      naive_sum_scores, scores_st, small_games_st)
+from scoreplay import (FinalScores, Operator, eval_sum, final_scores,
+                       identity_game, make_game, number, outcome, parse_game,
+                       score, shift, sum_games)
 
 OPS = tuple(Operator)
 COMMUTATIVE = (Operator.DISJUNCTIVE, Operator.CONJUNCTIVE, Operator.SELECTIVE)
@@ -41,6 +41,37 @@ def test_empty_sum_rejected():
             sum_games(op, [])
         with pytest.raises(ValueError):
             eval_sum(op, [])
+
+
+@pytest.mark.parametrize("bad", [-1, 10 ** 12, True, "0"])
+def test_unknown_game_id_rejected(bad):
+    g = number(1)
+    for op in OPS:
+        for comps in ([bad], [g, bad]):
+            with pytest.raises(ValueError, match="unknown game id"):
+                sum_games(op, comps)
+            with pytest.raises(ValueError, match="unknown game id"):
+                eval_sum(op, comps)
+
+
+@given(st.sampled_from(OPS), small_games_st)
+@settings(max_examples=100, deadline=None)
+def test_sum_of_one_game_is_that_game(op, g):
+    assert sum_games(op, [g]) == g
+    assert eval_sum(op, [g]) == final_scores(g)
+
+
+@given(st.sampled_from(OPS), small_games_st, scores_st)
+@settings(max_examples=100, deadline=None)
+def test_leaves_shift_the_sum(op, g, c):
+    # the second sum holds the same game beside other leaves, so a memo
+    # that ignored the leaves would answer it from the first
+    fs = final_scores(g)
+    for leaves in ([c], [c, c]):
+        total = sum(leaves, Fraction(0))
+        comps = [g] + [number(x) for x in leaves]
+        assert sum_games(op, comps) == shift(g, total)
+        assert eval_sum(op, comps) == FinalScores(fs.sl + total, fs.sr + total)
 
 
 def test_disjunctive_leaves():
