@@ -18,7 +18,12 @@ rejected there because a split has no sequential reading.
 
 Values are computed in integer arithmetic scaled by the common
 denominator of the point awards, which keeps the inner recursion cheap;
-results are exact Fractions.
+results are exact Fractions.  Heaps are interned too: the heap store
+gives each (ruleset, size) pair a small int heap id once, and holds the
+heap's raw moves, computed at insertion.  A state of the recursion is a
+tuple of heap ids, sorted for the commutative operators, so it hashes
+and compares as a flat tuple of ints, as a state of interned game ids
+does.  Heap sizes must be ints; nothing is truncated into another heap.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .game import GameId, as_score, number, make_game, shift
-from .operators import Operator, _successors, sum_games
+from .operators import Moves, Operator, _successors, sum_games
 
 
 def default_points(digits: Sequence[int]) -> tuple[Fraction, ...]:
@@ -83,7 +88,7 @@ class OctalRuleset:
 Heap = tuple[OctalRuleset, int]
 Position = Iterable[Heap]
 
-# ruleset interning so positions hash as small int pairs
+# ruleset interning so heaps intern as small int pairs
 _rids: dict[OctalRuleset, int] = {}
 _rulesets: list[OctalRuleset] = []
 _rid_lock = threading.Lock()
@@ -102,91 +107,106 @@ def _rid(rules: OctalRuleset) -> int:
         return got
 
 
-_moves_cache: dict[tuple[int, int], tuple] = {}
+RawMoves = tuple[tuple[Fraction, tuple[int, ...]], ...]
+
+#: the heap store: (rid, n) -> heap id, and heap id -> (rid, n, raw moves)
+_hids: dict[tuple[int, int], int] = {}
+_heaps: list[tuple[int, int, RawMoves]] = []
 
 
-def _raw_moves(rid: int, n: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
-    # int-keyed: hashing rulesets here would dominate the heap recursions
+def _hid(rid: int, n: int) -> int:
+    """The heap id of a heap of n beans of ruleset `rid`, interned once."""
     key = (rid, n)
-    got = _moves_cache.get(key)
-    if got is None:
-        rules = _rulesets[rid]
-        out = []
-        for k in range(1, min(n, len(rules.digits)) + 1):
-            d = rules.digits[k - 1]
-            if not d:
-                continue
-            p = rules.points[k - 1]
-            rest = n - k
-            if d & 1 and rest == 0:
-                out.append((p, ()))
-            if d & 2 and rest >= 1:
-                out.append((p, (rest,)))
-            if d & 4 and rest >= 2:
-                for a in range(1, rest // 2 + 1):
-                    out.append((p, (a, rest - a)))
-        got = tuple(out)
-        _moves_cache[key] = got
-    return got
+    got = _hids.get(key)
+    if got is not None:
+        return got
+    with _rid_lock:
+        got = _hids.get(key)
+        if got is None:
+            got = len(_heaps)
+            _heaps.append((rid, n, _raw_moves(_rulesets[rid], n)))
+            _hids[key] = got
+        return got
 
 
-def heap_moves(rules: OctalRuleset, n: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+def _raw_moves(rules: OctalRuleset, n: int) -> RawMoves:
+    out = []
+    for k in range(1, min(n, len(rules.digits)) + 1):
+        d = rules.digits[k - 1]
+        if not d:
+            continue
+        p = rules.points[k - 1]
+        rest = n - k
+        if d & 1 and rest == 0:
+            out.append((p, ()))
+        if d & 2 and rest >= 1:
+            out.append((p, (rest,)))
+        if d & 4 and rest >= 2:
+            for a in range(1, rest // 2 + 1):
+                out.append((p, (a, rest - a)))
+    return tuple(out)
+
+
+def _as_size(n) -> int:
+    """`n` if it is an int; a float, Fraction, str or bool raises TypeError
+    rather than being truncated into some other heap."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"heap sizes must be ints, got {type(n).__name__} {n!r}")
+    return n
+
+
+def heap_moves(rules: OctalRuleset, n: int) -> RawMoves:
     """Legal single-heap moves on a heap of n: (points, remaining heap sizes).
 
     Remainders are unordered (sorted ascending); empty tuple means the
     heap is gone.  Deterministic order: beans removed ascending, then the
     permitted shapes in bit order.
     """
-    if n < 0:
+    if _as_size(n) < 0:
         raise ValueError(f"heap size must be nonnegative: {n}")
-    return _raw_moves(_rid(rules), n)
+    return _heaps[_hid(_rid(rules), n)][2]
 
 
-def _alive(heap: tuple[int, int]) -> bool:
-    return bool(_raw_moves(*heap))
-
-
-_scaled_moves_cache: dict[int, dict[tuple[int, int], tuple]] = {}
-
-
-def _scaled_moves(scale: int):
+def _scaled_moves(scale: int) -> Moves:
     """The `moves` of `operators._successors` for heaps, points times `scale`.
 
-    A heap (rid, n) moves to (int points, (rid, size) parts).  Dead
+    Heap id h moves to (int points, heap ids of the remainders).  Dead
     remainders are dropped here once, so every state assembled from these
-    parts is live by construction and needs no further filtering.
+    parts is live by construction and needs no further filtering.  Each
+    heap's moves are built once per returned function.
     """
-    cache = _scaled_moves_cache.setdefault(scale, {})
+    cache: dict[int, tuple] = {}
 
-    def moves(heap: tuple[int, int]) -> tuple:
-        got = cache.get(heap)
+    def moves(hid: int) -> tuple:
+        got = cache.get(hid)
         if got is None:
-            rid, n = heap
-            got = tuple(
-                (int(p * scale),
-                 tuple((rid, m) for m in rem if _alive((rid, m))))
-                for p, rem in _raw_moves(rid, n))
-            cache[heap] = got
+            rid, _, raw = _heaps[hid]
+            got = []
+            for p, rem in raw:
+                parts = (_hid(rid, m) for m in rem)
+                got.append((int(p * scale), tuple(h for h in parts if _heaps[h][2])))
+            got = cache[hid] = tuple(got)
         return got
     return moves
 
 
-def _canonical(op: Operator, heaps: Sequence[tuple[int, int]]) -> tuple:
-    live = [h for h in heaps if _alive(h)]
+def _canonical(op: Operator, hids: Sequence[int]) -> tuple[int, ...]:
+    live = [h for h in hids if _heaps[h][2]]
     if op is not Operator.SEQUENTIAL:
         live.sort()
     return tuple(live)
 
 
-#: (op, scale) -> (value memo, `_successors` group cache), so no
-#: per-state key carries the operator
-_gs_tables: dict[tuple[Operator, int], tuple[dict, dict]] = {}
+#: scale -> (scaled moves, {op: (value memo, `_successors` group cache)}):
+#: the operators share one copy of the moves, the group caches live with
+#: the moves they were built from, and no per-state key carries the operator
+_gs_tables: dict[int, tuple[Moves, dict[Operator, tuple[dict, dict]]]] = {}
 
 
-def _gs(op: Operator, state: tuple, scale: int) -> int:
+def _gs(op: Operator, state: tuple[int, ...], scale: int) -> int:
     """Value of a canonical live state, in points times `scale`."""
-    memo, groups = _gs_tables.setdefault((op, scale), ({}, {}))
-    moves = _scaled_moves(scale)
+    moves, per_op = _gs_tables.setdefault(scale, (_scaled_moves(scale), {}))
+    memo, groups = per_op.setdefault(op, ({}, {}))
 
     def value(state: tuple) -> int:
         if not state:
@@ -202,15 +222,16 @@ def _gs(op: Operator, state: tuple, scale: int) -> int:
 
 def _prepare(op: Operator, position: Position) -> tuple[tuple, int]:
     heaps = []
-    rulesets = set()
+    rids = set()
     for rules, n in position:
         if not isinstance(rules, OctalRuleset):
             raise TypeError(f"expected an OctalRuleset, got {type(rules).__name__}")
-        n = int(n)
-        if n < 1:
+        if _as_size(n) < 1:
             raise ValueError(f"heap sizes are positive: {n}")
-        rulesets.add(rules)
-        heaps.append((_rid(rules), n))
+        rid = _rid(rules)
+        rids.add(rid)
+        heaps.append(_hid(rid, n))
+    rulesets = [_rulesets[rid] for rid in rids]
     if op is Operator.SEQUENTIAL:
         for rules in rulesets:
             if rules.can_split:
@@ -228,12 +249,12 @@ def grundy_value(op: Operator, position: Position) -> Fraction:
 
 def heap_value(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE) -> Fraction:
     """Value of the single heap {n}; n = 0 is the empty position."""
-    if n == 0:
+    if _as_size(n) == 0:
         return Fraction(0)
     return grundy_value(op, [(rules, n)])
 
 
-_tree_memo: dict[tuple[Operator, int, int], GameId] = {}
+_tree_memo: dict[tuple[Operator, int], GameId] = {}
 
 
 def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
@@ -249,24 +270,24 @@ def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
 
     Tree size grows fast with n; `cap` is a guard, not a suggestion.
     """
-    if n > cap:
+    if _as_size(n) > cap:
         raise ValueError(f"heap {n} exceeds cap {cap}; raise cap knowingly")
     if n < 0:
         raise ValueError(f"heap size must be nonnegative: {n}")
     if op is Operator.SEQUENTIAL and rules.can_split:
         raise ValueError(
             f"splitting ruleset {rules.notation()} has no sequential reading")
-    return _heap_tree(op, _rid(rules), n)
+    return _heap_tree(op, _hid(_rid(rules), n))
 
 
-def _heap_tree(op: Operator, rid: int, n: int) -> GameId:
-    key = (op, rid, n)
+def _heap_tree(op: Operator, hid: int) -> GameId:
+    key = (op, hid)
     got = _tree_memo.get(key)
     if got is None:
-        rules = _rulesets[rid]
+        rid, _, raw = _heaps[hid]
         lefts = []
         rights = []
-        for p, rem in heap_moves(rules, n):
+        for p, rem in raw:
             sub = _rem_tree(op, rid, rem)
             lefts.append(shift(sub, p))
             rights.append(shift(sub, -p))
@@ -279,8 +300,8 @@ def _rem_tree(op: Operator, rid: int, rem: tuple[int, ...]) -> GameId:
     if not rem:
         return number(0)
     if len(rem) == 1:
-        return _heap_tree(op, rid, rem[0])
-    return sum_games(op, [_heap_tree(op, rid, m) for m in rem])
+        return _heap_tree(op, _hid(rid, rem[0]))
+    return sum_games(op, [_heap_tree(op, _hid(rid, m)) for m in rem])
 
 
 def value_table(op: Operator, rules: OctalRuleset, n_max: int,
@@ -290,7 +311,7 @@ def value_table(op: Operator, rules: OctalRuleset, n_max: int,
     Under the sequential operator the varying heap is played first, then
     the tail in its given order.
     """
-    if n_max < 0:
+    if _as_size(n_max) < 0:
         raise ValueError("n_max must be nonnegative")
     tail = tuple(tail)
     out = []

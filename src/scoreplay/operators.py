@@ -69,11 +69,13 @@ def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> dict[
 
     `state` is a canonical tuple of components: sorted for the commutative
     operators, in play order for the sequential one, and successors come
-    back in the same form.  `moves(c)` lists the mover's options in
-    component c as (points, parts) pairs, `parts` being the components that
-    replace c.  `groups` caches the choices of each run of equal components
-    by (component, count); share it only between calls with the same `op`
-    and `moves`.
+    back in the same form.  Components are ints for trees and heaps alike,
+    interned game ids or interned heap ids (`octal._hid`), so a state
+    hashes, compares and sorts as a flat tuple of ints.  `moves(c)` lists
+    the mover's options in component c as (points, parts) pairs, `parts`
+    being the components that replace c.  `groups` caches the choices of
+    each run of equal components by (component, count); share it only
+    between calls with the same `op` and `moves`.
     """
     succs: dict[tuple, int] = {}
     if op is Operator.SEQUENTIAL:

@@ -1,9 +1,10 @@
 """Shared test helpers: from-scratch oracle evaluators and hypothesis strategies.
 
 The tree oracle works on plain nested tuples and the heap oracle on plain
-lists of heap sizes, never touching the interned store, the move
-generator of `scoreplay.operators` or any memo table, so they catch bugs
-in interning, move generation and caching rather than inheriting them.
+lists of (digits, points, size) heaps, never touching the interned store,
+the move generator of `scoreplay.operators` or any memo table, so they
+catch bugs in interning, move generation and caching rather than
+inheriting them.
 Keep oracle inputs small; they are deliberately exponential.
 """
 
@@ -127,9 +128,11 @@ def _naive_heap_options(digits, points, n: int):
                 yield p, (a, rest - a)
 
 
-def _naive_heap_moves(op: Operator, digits, points, heaps):
+def _naive_heap_moves(op: Operator, heaps):
     """(points, successor heap list) for one turn on an ordered heap list."""
-    opts = [list(_naive_heap_options(digits, points, n)) for n in heaps]
+    opts = [[(p, tuple((digits, points, m) for m in rest))
+             for p, rest in _naive_heap_options(digits, points, n)]
+            for digits, points, n in heaps]
     movable = [i for i, o in enumerate(opts) if o]
     if op is Operator.DISJUNCTIVE:
         subsets = [(i,) for i in movable]
@@ -144,21 +147,22 @@ def _naive_heap_moves(op: Operator, digits, points, heaps):
         for choice in product(*(opts[i] for i in subset)):
             picked = dict(zip(subset, choice))
             out = []
-            for i, n in enumerate(heaps):
-                out.extend(picked[i][1] if i in picked else (n,))
+            for i, heap in enumerate(heaps):
+                out.extend(picked[i][1] if i in picked else (heap,))
             yield sum(p for p, _ in choice), tuple(out)
 
 
-def naive_heap_value(op: Operator, digits, points, heaps) -> Fraction:
-    """Mover-relative value of an ordered heap list, by memo-free search.
+def naive_heap_value(op: Operator, heaps) -> Fraction:
+    """Mover-relative value of an ordered list of (digits, points, size)
+    heaps, each with its own ruleset, by memo-free search.
 
     Independent of `scoreplay.octal`: moves come straight from the digit
     bits, every heap stays in place (dead ones included) and no state is
     ever canonicalized or cached.
     """
     best = None
-    for p, succ in _naive_heap_moves(op, digits, points, heaps):
-        v = p - naive_heap_value(op, digits, points, succ)
+    for p, succ in _naive_heap_moves(op, heaps):
+        v = p - naive_heap_value(op, succ)
         if best is None or v > best:
             best = v
     return Fraction(0) if best is None else best

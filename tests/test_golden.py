@@ -1,4 +1,4 @@
-"""Pinned reports: CLI output and composite trees, byte for byte.
+"""Pinned reports: CLI output, composite trees and heap values, byte for byte.
 
 The files under tests/data/ hold the expected output.  Unlike a test that
 runs the same code twice, they catch a change in printed option order or
@@ -12,11 +12,13 @@ and review the diff before committing it.
 
 import contextlib
 import io
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
-from scoreplay import Operator, format_game, parse_game, sum_games
+from scoreplay import (Operator, format_game, grundy_value, parse_game,
+                       parse_octal, sum_games)
 from scoreplay.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -51,6 +53,22 @@ COMPOSITES = (
 )
 COMPOSITES_FILE = "composites.txt"
 
+SPLIT = "0.007:0,0,5/2"
+#: mixed-ruleset positions, as (ruleset, size) pairs in the order given
+MIXED = {
+    Operator.DISJUNCTIVE: (
+        (("0.007:0,0,5/2", 7), ("0.33:1/3,1/2", 5)),
+        (("0.33:1/3,1/2", 4), ("0.6:1", 6), ("0.007:0,0,5/2", 5)),
+        (("0.13:1,2", 9), ("0.007:0,0,5/2", 9), ("0.007:0,0,5/2", 4)),
+    ),
+    Operator.SEQUENTIAL: (
+        (("0.33:1/3,1/2", 5), ("0.13:1,2", 4)),
+        (("0.13:1,2", 4), ("0.33:1/3,1/2", 5)),
+        (("0.333:1,2,3", 7), ("0.33:1/3,1/2", 3), ("0.13:1,2", 6)),
+    ),
+}
+HEAP_VALUES_FILE = "heap-values.txt"
+
 
 def report(argv: list[str]) -> str:
     out = io.StringIO()
@@ -71,6 +89,22 @@ def composites() -> str:
     return "\n".join(lines) + "\n"
 
 
+def heap_values() -> str:
+    """`grundy_value` of every selective and conjunctive multiset of 1-3
+    heaps of 1-10 beans of SPLIT, then of the MIXED positions."""
+    positions = [(op, tuple((SPLIT, n) for n in sizes))
+                 for op in (Operator.SELECTIVE, Operator.CONJUNCTIVE)
+                 for k in range(1, 4)
+                 for sizes in combinations_with_replacement(range(1, 11), k)]
+    positions += [(op, pos) for op, group in MIXED.items() for pos in group]
+    lines = []
+    for op, pos in positions:
+        heaps = [(parse_octal(rules), n) for rules, n in pos]
+        text = ", ".join(f"{rules} {n}" for rules, n in pos)
+        lines.append(f"{op.value} [{text}]: {grundy_value(op, heaps)}")
+    return "\n".join(lines) + "\n"
+
+
 def golden(name: str) -> str:
     return (DATA / name).read_bytes().decode("utf-8")
 
@@ -84,10 +118,15 @@ def test_composite_trees_match_golden():
     assert composites() == golden(COMPOSITES_FILE)
 
 
+def test_heap_values_match_golden():
+    assert heap_values() == golden(HEAP_VALUES_FILE)
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     outputs = {name: report(argv) for name, argv in REPORTS.items()}
     outputs[COMPOSITES_FILE] = composites()
+    outputs[HEAP_VALUES_FILE] = heap_values()
     for name, text in outputs.items():
         (DATA / name).write_text(text, encoding="utf-8", newline="")
         print(f"wrote {DATA / name}")

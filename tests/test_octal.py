@@ -19,6 +19,7 @@ from scoreplay import (OctalRuleset, Operator, compare_periods, default_points,
 
 R33 = parse_octal("0.33:1,2")
 R007 = parse_octal("0.007:0,0,1")
+R33_RATIONAL = parse_octal("0.33:1/3,1/2")
 
 
 F = Fraction
@@ -64,6 +65,33 @@ def test_heap_moves_bounds():
         heap_moves(R33, -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: heap_value(R33, 2.7),
+    lambda: heap_value(R33, F(5, 2)),
+    lambda: heap_value(R33, "5"),
+    lambda: heap_value(R33, True),
+    lambda: grundy_value(Operator.DISJUNCTIVE, [(R33, 4.9)]),
+    lambda: grundy_value(Operator.SELECTIVE, [(R33, 3), (R33, 2.0)]),
+    lambda: heap_moves(R33, 2.5),
+    lambda: heap_game(R33, 2.5),
+    lambda: value_table(Operator.DISJUNCTIVE, R33, 4.5),
+    lambda: value_table(Operator.DISJUNCTIVE, R33, 4, tail=((R33, 1.5),)),
+], ids=["value-float", "value-fraction", "value-str", "value-bool", "grundy-float",
+        "grundy-float-equal-to-int", "moves-float", "game-float", "table-n-max",
+        "table-tail"])
+def test_heap_sizes_must_be_ints(call):
+    # these used to be truncated into some other heap, or gave nonsense
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_negative_heap_sizes_raise_value_error():
+    for call in (lambda: heap_value(R33, -1), lambda: heap_game(R33, -1),
+                 lambda: grundy_value(Operator.DISJUNCTIVE, [(R33, -3)])):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_single_heap_values_anchor():
     assert [heap_value(R33, n) for n in range(9)] == [0, 1, 2, 1, 0, 1, 2, 1, 0]
 
@@ -99,8 +127,33 @@ def _small_positions(max_heaps=3, max_beans=7):
     if not (op is Operator.SEQUENTIAL and rules.can_split)], ids=str)
 def test_grundy_value_matches_naive_heap_oracle(rules, op):
     for sizes in _small_positions():
-        want = naive_heap_value(op, rules.digits, rules.points, sizes)
+        want = naive_heap_value(op, [(rules.digits, rules.points, n) for n in sizes])
         assert grundy_value(op, [(rules, n) for n in sizes]) == want, sizes
+
+
+@pytest.mark.parametrize("op", list(Operator), ids=str)
+def test_mixed_rulesets_match_naive_heap_oracle(op):
+    # scale 6: integer points beside thirds and halves; the sequential
+    # operator only sees the ruleset that cannot split
+    rulesets = (R33_RATIONAL,) if op is Operator.SEQUENTIAL else (R007, R33_RATIONAL)
+    for sizes in _small_positions():
+        for rules in product(rulesets, repeat=len(sizes)):
+            pos = list(zip(rules, sizes))
+            want = naive_heap_value(op, [(r.digits, r.points, n) for r, n in pos])
+            assert grundy_value(op, pos) == want, pos
+
+
+COMMUTATIVE = [op for op in Operator if op is not Operator.SEQUENTIAL]
+
+
+@given(st.sampled_from(COMMUTATIVE), st.data())
+@settings(max_examples=80, deadline=None)
+def test_commutative_values_ignore_heap_order(op, data):
+    heaps = st.tuples(st.sampled_from([R007, R33, R33_RATIONAL]),
+                      st.integers(min_value=1, max_value=10))
+    pos = data.draw(st.lists(heaps, min_size=1, max_size=3))
+    shuffled = data.draw(st.permutations(pos))
+    assert grundy_value(op, shuffled) == grundy_value(op, pos)
 
 
 def test_ruleset_interning_is_thread_safe():
@@ -131,6 +184,40 @@ def test_ruleset_interning_is_thread_safe():
             for r, rid in zip(fresh, seen[0]):
                 assert octal._rulesets[rid] == r
                 assert octal._rids[r] == rid
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_heap_interning_is_thread_safe():
+    # a lost race gives one heap two ids, or one id to two heaps; each
+    # round interns 200 fresh heaps of a fresh ruleset from 4 threads at once
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(10):
+            rid = octal._rid(OctalRuleset((3, 7), (F(round_ + 1, 7907), F(1))))
+            fresh = [(rid, n) for n in range(1, 201)]
+            assert not any(h in octal._hids for h in fresh)
+            stored = len(octal._heaps)
+            start = threading.Barrier(4)
+            seen: list = [None] * 4
+
+            def intern(t):
+                start.wait()
+                seen[t] = [octal._hid(*h) for h in fresh]
+
+            threads = [threading.Thread(target=intern, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            assert seen[0] is not None and all(ids == seen[0] for ids in seen)
+            assert len(set(seen[0])) == len(fresh)
+            assert len(octal._heaps) == stored + len(fresh)
+            for h, hid in zip(fresh, seen[0]):
+                assert octal._heaps[hid][:2] == h
+                assert octal._hids[h] == hid
     finally:
         sys.setswitchinterval(old_interval)
 
