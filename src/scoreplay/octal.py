@@ -72,6 +72,12 @@ class OctalRuleset:
                     f"{len(digits)} digits but {len(points)} point values")
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "points", points)
+        # every grundy_value call looks its heaps' rulesets up in `_rids`;
+        # hashing the Fraction points afresh each time is wasted work
+        object.__setattr__(self, "_hash", hash((digits, points)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def can_split(self) -> bool:
@@ -205,8 +211,9 @@ _gs_tables: dict[int, tuple[Moves, dict[Operator, tuple[dict, dict]]]] = {}
 
 def _gs(op: Operator, state: tuple[int, ...], scale: int) -> int:
     """Value of a canonical live state, in points times `scale`."""
-    moves, per_op = _gs_tables.setdefault(scale, (_scaled_moves(scale), {}))
-    memo, groups = per_op.setdefault(op, ({}, {}))
+    # setdefault only on a miss: its default would be built on every call
+    moves, per_op = _gs_tables.get(scale) or _gs_tables.setdefault(scale, (_scaled_moves(scale), {}))
+    memo, groups = per_op.get(op) or per_op.setdefault(op, ({}, {}))
 
     def value(state: tuple) -> int:
         if not state:
@@ -214,30 +221,32 @@ def _gs(op: Operator, state: tuple[int, ...], scale: int) -> int:
         val = memo.get(state)
         if val is None:
             succs = _successors(op, state, moves, groups)
-            val = max(pts - value(succ) for succ, pts in succs.items())
+            val = max(pts - value(succ) for succ, pts in succs)
             memo[state] = val
         return val
     return value(state)
+
+
+def _check_rules(op: Operator, rules: OctalRuleset) -> None:
+    """Reject a non-ruleset, and a splitting ruleset under `op` sequential."""
+    if not isinstance(rules, OctalRuleset):
+        raise TypeError(f"expected an OctalRuleset, got {type(rules).__name__}")
+    if op is Operator.SEQUENTIAL and rules.can_split:
+        raise ValueError(
+            f"splitting ruleset {rules.notation()} has no sequential reading")
 
 
 def _prepare(op: Operator, position: Position) -> tuple[tuple, int]:
     heaps = []
     rids = set()
     for rules, n in position:
-        if not isinstance(rules, OctalRuleset):
-            raise TypeError(f"expected an OctalRuleset, got {type(rules).__name__}")
+        _check_rules(op, rules)
         if _as_size(n) < 1:
             raise ValueError(f"heap sizes are positive: {n}")
         rid = _rid(rules)
         rids.add(rid)
         heaps.append(_hid(rid, n))
-    rulesets = [_rulesets[rid] for rid in rids]
-    if op is Operator.SEQUENTIAL:
-        for rules in rulesets:
-            if rules.can_split:
-                raise ValueError(
-                    f"splitting ruleset {rules.notation()} has no sequential reading")
-    scale = reduce(math.lcm, (p.denominator for r in rulesets for p in r.points), 1)
+    scale = reduce(math.lcm, (p.denominator for rid in rids for p in _rulesets[rid].points), 1)
     return _canonical(op, heaps), scale
 
 
@@ -249,6 +258,7 @@ def grundy_value(op: Operator, position: Position) -> Fraction:
 
 def heap_value(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE) -> Fraction:
     """Value of the single heap {n}; n = 0 is the empty position."""
+    _check_rules(op, rules)
     if _as_size(n) == 0:
         return Fraction(0)
     return grundy_value(op, [(rules, n)])
@@ -274,9 +284,7 @@ def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
         raise ValueError(f"heap {n} exceeds cap {cap}; raise cap knowingly")
     if n < 0:
         raise ValueError(f"heap size must be nonnegative: {n}")
-    if op is Operator.SEQUENTIAL and rules.can_split:
-        raise ValueError(
-            f"splitting ruleset {rules.notation()} has no sequential reading")
+    _check_rules(op, rules)
     return _heap_tree(op, _hid(_rid(rules), n))
 
 
@@ -311,6 +319,7 @@ def value_table(op: Operator, rules: OctalRuleset, n_max: int,
     Under the sequential operator the varying heap is played first, then
     the tail in its given order.
     """
+    _check_rules(op, rules)
     if _as_size(n_max) < 0:
         raise ValueError("n_max must be nonnegative")
     tail = tuple(tail)

@@ -21,7 +21,9 @@ ending at any point pays out the sum of wherever each component stopped.
 `eval_sum` computes its final scores directly on multisets of component
 ids without building the tree.  The two must agree exactly, and the test
 suite holds them to that.  `_successors` is the one place that knows the
-four move rules; the octal heap recursion uses it too.
+four move rules; the octal heap recursion uses it too.  It returns one
+(state, points) pair per combined move, repeats allowed, and every caller
+folds them: a max or min of values, or a set of composite ids.
 
 Both sort the components once, at the public call; successor states
 come back sorted, so the recursion never sorts again.  The composite
@@ -37,7 +39,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
 from .evaluate import FinalScores, _scores
@@ -64,9 +66,12 @@ class Operator(Enum):
 Moves = Callable[[object], Sequence[tuple[int, tuple]]]
 
 
-def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> dict[tuple, int]:
-    """One turn of `op` from `state`, as {successor state: best points}.
+def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> list[tuple[tuple, int]]:
+    """One turn of `op` from `state`, as (successor state, points) pairs.
 
+    There is one pair per combined move, so a successor reachable in
+    several ways may repeat, with the same or different points; callers
+    fold the pairs (a max, a min or a set) and never need them distinct.
     `state` is a canonical tuple of components: sorted for the commutative
     operators, in play order for the sequential one, and successors come
     back in the same form.  Components are ints for trees and heaps alike,
@@ -77,26 +82,17 @@ def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> dict[
     each run of equal components by (component, count); share it only
     between calls with the same `op` and `moves`.
     """
-    succs: dict[tuple, int] = {}
     if op is Operator.SEQUENTIAL:
         rest = state[1:]
-        for pts, parts in moves(state[0]):
-            succ = parts + rest
-            prev = succs.get(succ)
-            if prev is None or pts > prev:
-                succs[succ] = pts
-        return succs
+        return [(parts + rest, pts) for pts, parts in moves(state[0])]
 
     if op is Operator.DISJUNCTIVE:
+        succs = []
         for i, c in enumerate(state):
             if i and c == state[i - 1]:
                 continue
             rest = state[:i] + state[i + 1:]
-            for pts, parts in moves(c):
-                succ = tuple(sorted(rest + parts))
-                prev = succs.get(succ)
-                if prev is None or pts > prev:
-                    succs[succ] = pts
+            succs += [(tuple(sorted(rest + parts)), pts) for pts, parts in moves(c)]
         return succs
 
     # conjunctive and selective: each run of equal components chooses how
@@ -133,23 +129,18 @@ def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> dict[
         else:
             idle += (c,) * count
     if not per_group:
-        return succs
-    combos = product(*per_group)
+        return []
+    # the product over runs, one run at a time, the last run varying fastest
+    acc = [(0, idle)]
+    for choices in per_group[:-1]:
+        acc = [(p + q, parts + chunk) for p, parts in acc for q, chunk in choices]
+    succs = [(tuple(sorted(parts + chunk)), p + q)
+             for p, parts in acc for q, chunk in per_group[-1]]
     if not everyone:
         # staying put is the first choice of every run, and no move leaves
         # a component as it was, so the first combination is the only one
         # in which nobody moved
-        next(combos)
-    for combo in combos:
-        pts = 0
-        parts = idle
-        for q, chunk in combo:
-            pts += q
-            parts += chunk
-        succ = tuple(sorted(parts))
-        prev = succs.get(succ)
-        if prev is None or pts > prev:
-            succs[succ] = pts
+        del succs[0]
     return succs
 
 
@@ -211,8 +202,8 @@ def _composite(op: Operator, state: tuple[GameId, ...], memo: dict) -> GameId:
             got = _shift(_composite(op, core, memo), folded)
         else:
             total = sum((_nodes[g][1] for g in core), Fraction(0))
-            lefts = {_composite(op, ms, memo) for ms in _successors(op, core, _TREE_MOVES["L"], {})}
-            rights = {_composite(op, ms, memo) for ms in _successors(op, core, _TREE_MOVES["R"], {})}
+            lefts = {_composite(op, ms, memo) for ms, _ in _successors(op, core, _TREE_MOVES["L"], {})}
+            rights = {_composite(op, ms, memo) for ms, _ in _successors(op, core, _TREE_MOVES["R"], {})}
             got = _make(tuple(sorted(lefts)), total, tuple(sorted(rights)))
         memo[state] = got
     return got
@@ -270,7 +261,7 @@ def _ms_value(op: Operator, state: tuple[GameId, ...], side: str, memos: dict) -
             val = sum((_nodes[g][1] for g in core), Fraction(0))
         else:
             flipped = "R" if side == "L" else "L"
-            values = (_ms_value(op, ms, flipped, memos) for ms in succs)
+            values = (_ms_value(op, ms, flipped, memos) for ms, _ in succs)
             val = max(values) if side == "L" else min(values)
         memo[core] = val
     return folded + val

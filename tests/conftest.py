@@ -4,7 +4,9 @@ The tree oracle works on plain nested tuples and the heap oracle on plain
 lists of (digits, points, size) heaps, never touching the interned store,
 the move generator of `scoreplay.operators` or any memo table, so they
 catch bugs in interning, move generation and caching rather than
-inheriting them.
+inheriting them.  `naive_successors` checks that move generator one turn
+at a time: it takes the engine's states and per-component moves, but
+enumerates the moving component subsets straight off the four rules.
 Keep oracle inputs small; they are deliberately exponential.
 """
 
@@ -128,12 +130,13 @@ def _naive_heap_options(digits, points, n: int):
                 yield p, (a, rest - a)
 
 
-def _naive_heap_moves(op: Operator, heaps):
-    """(points, successor heap list) for one turn on an ordered heap list."""
-    opts = [[(p, tuple((digits, points, m) for m in rest))
-             for p, rest in _naive_heap_options(digits, points, n)]
-            for digits, points, n in heaps]
-    movable = [i for i, o in enumerate(opts) if o]
+def _naive_turns(op: Operator, comps, opts, movable):
+    """(points, successor tuple) for each combined move of one turn of `op`.
+
+    `opts[i]` lists component i's options as (points, parts); `movable`
+    holds the indices of the components the mover may play, in order.
+    Parts replace their component in place, so the order is kept.
+    """
     if op is Operator.DISJUNCTIVE:
         subsets = [(i,) for i in movable]
     elif op is Operator.CONJUNCTIVE:
@@ -147,9 +150,39 @@ def _naive_heap_moves(op: Operator, heaps):
         for choice in product(*(opts[i] for i in subset)):
             picked = dict(zip(subset, choice))
             out = []
-            for i, heap in enumerate(heaps):
-                out.extend(picked[i][1] if i in picked else (heap,))
+            for i, comp in enumerate(comps):
+                out.extend(picked[i][1] if i in picked else (comp,))
             yield sum(p for p, _ in choice), tuple(out)
+
+
+def naive_successors(op: Operator, state, moves) -> dict:
+    """{successor state: best points} for one turn of `op` from `state`.
+
+    `state` and `moves` are as `scoreplay.operators._successors` takes
+    them; this enumerates component index subsets straight off the move
+    rules, with no runs, caches or product order, and sorts each successor
+    unless `op` is sequential, where only the head component may move.
+    """
+    opts = [tuple(moves(c)) for c in state]
+    movable = [i for i, o in enumerate(opts) if o]
+    if op is Operator.SEQUENTIAL:
+        movable = [i for i in movable if i == 0]
+    best: dict = {}
+    for pts, succ in _naive_turns(op, state, opts, movable):
+        if op is not Operator.SEQUENTIAL:
+            succ = tuple(sorted(succ))
+        if succ not in best or pts > best[succ]:
+            best[succ] = pts
+    return best
+
+
+def _naive_heap_moves(op: Operator, heaps):
+    """(points, successor heap list) for one turn on an ordered heap list."""
+    opts = [[(p, tuple((digits, points, m) for m in rest))
+             for p, rest in _naive_heap_options(digits, points, n)]
+            for digits, points, n in heaps]
+    movable = [i for i, o in enumerate(opts) if o]
+    yield from _naive_turns(op, heaps, opts, movable)
 
 
 def naive_heap_value(op: Operator, heaps) -> Fraction:

@@ -165,6 +165,14 @@ def test_gs_sequential_splitting_ruleset_exits_2(capsys):
     assert "sequential" in err
 
 
+def test_gs_sequential_splitting_ruleset_at_n_max_0_exits_2(capsys):
+    code, out, err = run(capsys, "gs", "--rules", "0.007:0,0,1", "--op", "seq",
+                         "--n-max", "0")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "sequential" in err
+
+
 def test_gs_bad_ruleset_exits_2(capsys):
     code, _, err = run(capsys, "gs", "--rules", "0.93:1,2")
     assert code == 2

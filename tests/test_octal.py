@@ -257,6 +257,23 @@ def test_heap_game_sequential_split_rejected():
         heap_game(R007, 4, Operator.SEQUENTIAL)
 
 
+def test_sequential_split_rejected_at_every_size():
+    for call in (lambda: heap_value(R007, 0, Operator.SEQUENTIAL),
+                 lambda: value_table(Operator.SEQUENTIAL, R007, 0),
+                 lambda: heap_game(R007, 0, Operator.SEQUENTIAL)):
+        with pytest.raises(ValueError, match="no sequential reading"):
+            call()
+
+
+def test_equal_rulesets_share_one_rid():
+    # default points spelled out or left implicit: one ruleset, one hash, one rid
+    implicit, explicit = OctalRuleset((3, 3)), OctalRuleset((3, 3), (1, 2))
+    assert implicit == explicit
+    assert hash(implicit) == hash(explicit)
+    assert octal._rid(implicit) == octal._rid(explicit)
+    assert octal._rid(OctalRuleset((3, 3), (2, 1))) != octal._rid(implicit)
+
+
 @pytest.mark.parametrize("op", list(Operator))
 def test_heap_game_matches_flat_recursion(op):
     rules = R007 if op is not Operator.SEQUENTIAL else R33

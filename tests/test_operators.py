@@ -1,17 +1,19 @@
 """The four sum operators: materialized trees and the direct evaluator."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import (as_tuple, naive_strict_conjunctive_scores,
-                      naive_sum_scores, scores_st, small_games_st)
+                      naive_successors, naive_sum_scores, scores_st,
+                      small_games_st)
 from scoreplay import (FinalScores, Operator, eval_sum, final_scores,
-                       identity_game, make_game, number, outcome, parse_game,
-                       score, shift, sum_games)
+                       identity_game, make_game, number, octal, outcome,
+                       parse_game, parse_octal, score, shift, sum_games)
+from scoreplay.operators import _TREE_MOVES, _successors
 
 OPS = tuple(Operator)
 COMMUTATIVE = (Operator.DISJUNCTIVE, Operator.CONJUNCTIVE, Operator.SELECTIVE)
@@ -188,3 +190,64 @@ def test_sequential_is_ordered_not_commutative():
     two = eval_sum(Operator.SEQUENTIAL, [h, g])
     assert one == (0, -1)
     assert two == (-1, 0)
+
+
+# -- the successor generator against a naive enumeration ----------------------
+
+def assert_successors_match_naive(op, state, moves):
+    pairs = _successors(op, state, moves, {})
+    folded = {}
+    for succ, pts in pairs:
+        assert succ != state
+        if succ not in folded or pts > folded[succ]:
+            folded[succ] = pts
+    assert folded == naive_successors(op, state, moves)
+
+
+def heap_states(op):
+    """Canonical states of 1-3 heaps of `0.007:0,0,1` and `0.33:1/3,1/2`,
+    runs of 2-3 equal heaps included; sequential states in every order."""
+    heaps = [octal._hid(octal._rid(r), n)
+             for r, sizes in ((parse_octal("0.007:0,0,1"), (3, 4, 6, 7)),
+                              (parse_octal("0.33:1/3,1/2"), (1, 2, 4)))
+             for n in sizes]
+    states = {octal._canonical(op, combo)
+              for k in (1, 2, 3) for combo in product(heaps, repeat=k)}
+    return sorted(states)
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.value)
+def test_successors_match_naive_on_heap_states(op):
+    moves = octal._scaled_moves(6)
+    states = heap_states(op)
+    assert any(len(set(s)) < len(s) for s in states)
+    for state in states:
+        assert_successors_match_naive(op, state, moves)
+
+
+TREE_STATES = [
+    # the first component has no left option: it sits out Left's turn
+    ("{.|2|{1|0|.}}", "{3|1|-1}"),
+    ("{.|2|{1|0|.}}", "{3|1|-1}", "{3|1|-1}"),
+    ("{{2|-3|.}|1|.}", "{{2|-3|.}|1|.}", "{{2|-3|.}|1|.}", "{.|0|{.|-5|{.|4|-6}}}"),
+]
+
+
+@pytest.mark.parametrize("texts", TREE_STATES)
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.value)
+def test_successors_match_naive_on_fixed_tree_states(op, texts):
+    comps = [parse_game(t) for t in texts]
+    state = tuple(comps) if op is Operator.SEQUENTIAL else tuple(sorted(comps))
+    for side in "LR":
+        assert_successors_match_naive(op, state, _TREE_MOVES[side])
+
+
+@given(st.sampled_from(OPS), st.lists(small_games_st, min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_successors_match_naive_on_tree_states(op, comps, copies):
+    # repeat some components so that runs of 2-3 equal ones occur
+    comps = comps + [comps[i % len(comps)] for i in copies]
+    state = tuple(comps) if op is Operator.SEQUENTIAL else tuple(sorted(comps))
+    for side in "LR":
+        assert_successors_match_naive(op, state, _TREE_MOVES[side])
