@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .game import GameId, _node, _nodes
+from .game import GameId, _node, _nodes, _public
 
 
 class FinalScores(NamedTuple):
@@ -36,11 +36,12 @@ _scores_memo: dict[GameId, FinalScores] = {}
 
 def final_scores(g: GameId) -> FinalScores:
     _node(g)
-    return _scores(g)
+    sl, sr = _scores(g)
+    return FinalScores(_public(sl), _public(sr))
 
 
 def _scores(g: GameId) -> FinalScores:
-    """`final_scores` for a known id."""
+    """`final_scores` for a known id, with the scores in stored form."""
     got = _scores_memo.get(g)
     if got is None:
         left, s, right = _nodes[g]

@@ -20,8 +20,14 @@ intern through `_make`, which takes option ids that are unique and
 sorted as ints and checks nothing.  The shift memo is nested by amount,
 `_shift_memo[amount][g]`, so the walk under one amount keys on ints.
 
-Scores are `fractions.Fraction` throughout.  Floats are rejected: this
-library is exact or it is nothing.
+Scores are exact rationals.  The store keeps each one in a canonical
+form: an `int` when the value is integral, a `fractions.Fraction` only
+otherwise, so the engine adds, hashes and compares integral scores as
+ints.  An int and a Fraction of equal value hash and compare equal, so a
+lookup finds the same node whichever form a caller passes.  The public
+API returns `Fraction` (`score`, `max_score_magnitude`, and `final_scores`
+and `eval_sum` elsewhere), through `_public`.  Floats and bools are
+rejected: this library is exact or it is nothing.
 
 Thread safety: insertions take a lock; everything else is pure reads of
 append-only structures, so races at worst recompute a memo entry.
@@ -37,8 +43,10 @@ from typing import Iterable, Union
 GameId = int
 Score = Fraction
 ScoreLike = Union[int, str, Fraction]
+#: a score in the store's canonical form: int when integral, else Fraction
+Raw = Union[int, Fraction]
 
-_Node = tuple[tuple[GameId, ...], Fraction, tuple[GameId, ...]]
+_Node = tuple[tuple[GameId, ...], Raw, tuple[GameId, ...]]
 
 _lock = threading.Lock()
 _nodes: list[_Node] = []
@@ -56,6 +64,16 @@ def as_score(value: ScoreLike) -> Fraction:
     raise TypeError(f"scores must be exact rationals, got {type(value).__name__}")
 
 
+def _exact(value: ScoreLike) -> Raw:
+    """`as_score`, except that a plain int goes through as it is."""
+    return value if type(value) is int else as_score(value)
+
+
+def _public(value: Raw) -> Fraction:
+    """A stored score as the public API returns it: always a Fraction."""
+    return Fraction(value) if type(value) is int else value
+
+
 def _node(g: GameId) -> _Node:
     if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < len(_nodes):
         raise ValueError(f"unknown game id: {g!r}")
@@ -67,20 +85,27 @@ def _compare(a: GameId, b: GameId) -> int:
 
     Only canonical (interned) nodes are ever compared, so two distinct ids
     always differ somewhere and the result is never 0 for a != b.  Equal
-    children share an id, so only the first differing pair is followed.
+    children share an id, so only the first differing pair is followed,
+    by a loop rather than a recursion: any depth compares.
     """
-    if a == b:
-        return 0
-    la, sa, ra = _nodes[a]
-    lb, sb, rb = _nodes[b]
-    if sa != sb:
-        return -1 if sa < sb else 1
-    for xs, ys in ((la, lb), (ra, rb)):
-        for x, y in zip(xs, ys):
-            if x != y:
-                return _compare(x, y)
-        if len(xs) != len(ys):
-            return -1 if len(xs) < len(ys) else 1
+    while a != b:
+        la, sa, ra = _nodes[a]
+        lb, sb, rb = _nodes[b]
+        if sa != sb:
+            return -1 if sa < sb else 1
+        pair = None
+        for xs, ys in ((la, lb), (ra, rb)):
+            for x, y in zip(xs, ys):
+                if x != y:
+                    pair = x, y
+                    break
+            if pair is not None:
+                break
+            if len(xs) != len(ys):
+                return -1 if len(xs) < len(ys) else 1
+        if pair is None:
+            return 0
+        a, b = pair
     return 0
 
 
@@ -101,12 +126,16 @@ def make_game(left: Iterable[GameId], score: ScoreLike, right: Iterable[GameId])
     Options are deduplicated and sorted; the same tree always comes back
     with the same id no matter how it was assembled.
     """
-    s = as_score(score)
-    return _make(_option_ids(left), s, _option_ids(right))
+    return _make(_option_ids(left), _exact(score), _option_ids(right))
 
 
-def _make(left: tuple[GameId, ...], s: Fraction, right: tuple[GameId, ...]) -> GameId:
-    """`make_game` for option ids that are known, unique and sorted as ints."""
+def _make(left: tuple[GameId, ...], s: Raw, right: tuple[GameId, ...]) -> GameId:
+    """`make_game` for option ids that are known, unique and sorted as ints.
+
+    The one interning path: it stores `s` in canonical form.
+    """
+    if s.denominator == 1:
+        s = s.numerator
     key = (left, s, right)
     got = _index.get(key)
     if got is not None:
@@ -137,7 +166,7 @@ def right_options(g: GameId) -> tuple[GameId, ...]:
 
 
 def score(g: GameId) -> Fraction:
-    return _node(g)[1]
+    return _public(_node(g)[1])
 
 
 def is_leaf(g: GameId) -> bool:
@@ -152,8 +181,8 @@ def store_size() -> int:
 
 _negate_memo: dict[GameId, GameId] = {}
 _reverse_memo: dict[GameId, GameId] = {}
-_shift_memo: dict[Fraction, dict[GameId, GameId]] = {}
-_magnitude_memo: dict[GameId, Fraction] = {}
+_shift_memo: dict[Raw, dict[GameId, GameId]] = {}
+_magnitude_memo: dict[GameId, Raw] = {}
 
 
 def negate(g: GameId) -> GameId:
@@ -182,22 +211,24 @@ def reverse(g: GameId) -> GameId:
 
 def shift(g: GameId, amount: ScoreLike) -> GameId:
     """Add `amount` to the score of every node in the tree."""
-    c = as_score(amount)
+    c = _exact(amount)
     _node(g)
     return _shift(g, c)
 
 
-def _shift(g: GameId, c: Fraction) -> GameId:
-    """`shift` for a known id and an exact amount."""
+def _shift(g: GameId, c: Raw) -> GameId:
+    """`shift` for a known id and an exact amount, taken in canonical form."""
     if not c:
         return g
+    if c.denominator == 1:
+        c = c.numerator
     memo = _shift_memo.get(c)
     if memo is None:
         memo = _shift_memo.setdefault(c, {})
     return _shift_walk(g, c, memo)
 
 
-def _shift_walk(g: GameId, c: Fraction, memo: dict[GameId, GameId]) -> GameId:
+def _shift_walk(g: GameId, c: Raw, memo: dict[GameId, GameId]) -> GameId:
     got = memo.get(g)
     if got is None:
         left, s, right = _nodes[g]
@@ -210,12 +241,18 @@ def _shift_walk(g: GameId, c: Fraction, memo: dict[GameId, GameId]) -> GameId:
 
 def max_score_magnitude(g: GameId) -> Fraction:
     """Largest |score| over all nodes of the tree."""
+    _node(g)
+    return _public(_magnitude(g))
+
+
+def _magnitude(g: GameId) -> Raw:
+    """`max_score_magnitude` for a known id, in canonical form."""
     got = _magnitude_memo.get(g)
     if got is None:
-        left, s, right = _node(g)
+        left, s, right = _nodes[g]
         got = abs(s)
         for x in left + right:
-            m = max_score_magnitude(x)
+            m = _magnitude(x)
             if m > got:
                 got = m
         _magnitude_memo[g] = got

@@ -56,7 +56,8 @@ class _Parser:
             self.error(f"expected {char!r}")
         self.pos += 1
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
+        """An int for a literal without '/', the store's canonical form."""
         start = self.pos
         if self.peek() in ("+", "-"):
             self.pos += 1
@@ -78,7 +79,7 @@ class _Parser:
                 self.pos = dstart
                 self.error("zero denominator")
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def game(self) -> GameId:
         self.skip_ws()

@@ -37,13 +37,12 @@ its final scores, without generating its successors.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
 from .evaluate import FinalScores, _scores
-from .game import GameId, _make, _node, _nodes, _shift
+from .game import GameId, Raw, _make, _node, _nodes, _public, _shift
 
 
 class Operator(Enum):
@@ -162,13 +161,13 @@ _TREE_MOVES = {
 }
 
 
-def _fold_leaves(state: tuple[GameId, ...]) -> tuple[Fraction, tuple[GameId, ...]]:
+def _fold_leaves(state: tuple[GameId, ...]) -> tuple[Raw, tuple[GameId, ...]]:
     """Split off the option-less components, which only add their score.
 
     Returns (their total score, the state of the rest), the rest keeping
     the order it had in `state`.
     """
-    folded = Fraction(0)
+    folded = 0
     core = []
     for g in state:
         left, s, right = _nodes[g]
@@ -201,7 +200,7 @@ def _composite(op: Operator, state: tuple[GameId, ...], memo: dict) -> GameId:
         elif folded:
             got = _shift(_composite(op, core, memo), folded)
         else:
-            total = sum((_nodes[g][1] for g in core), Fraction(0))
+            total = sum(_nodes[g][1] for g in core)
             lefts = {_composite(op, ms, memo) for ms, _ in _successors(op, core, _TREE_MOVES["L"], {})}
             rights = {_composite(op, ms, memo) for ms, _ in _successors(op, core, _TREE_MOVES["R"], {})}
             got = _make(tuple(sorted(lefts)), total, tuple(sorted(rights)))
@@ -237,15 +236,16 @@ def sum_games(op: Operator, games: Iterable[GameId]) -> GameId:
     return _composite(op, state, _build_memo[op])
 
 
-_ms_value_memo: dict[Operator, dict[str, dict[tuple[GameId, ...], Fraction]]] = {
+_ms_value_memo: dict[Operator, dict[str, dict[tuple[GameId, ...], Raw]]] = {
     op: {"L": {}, "R": {}} for op in Operator}
 
 
-def _ms_value(op: Operator, state: tuple[GameId, ...], side: str, memos: dict) -> Fraction:
+def _ms_value(op: Operator, state: tuple[GameId, ...], side: str, memos: dict) -> Raw:
     """Final score of the composite of `state` with `side` to move.
 
     `memos` is `_ms_value_memo[op]`, keyed per side on the state with its
-    leaves removed.
+    leaves removed.  Values are raw sums of stored scores, an int or a
+    Fraction; `eval_sum` converts them for the public API.
     """
     folded, core = _fold_leaves(state)
     if not core:
@@ -258,7 +258,7 @@ def _ms_value(op: Operator, state: tuple[GameId, ...], side: str, memos: dict) -
     if val is None:
         succs = _successors(op, core, _TREE_MOVES[side], {})
         if not succs:
-            val = sum((_nodes[g][1] for g in core), Fraction(0))
+            val = sum(_nodes[g][1] for g in core)
         else:
             flipped = "R" if side == "L" else "L"
             values = (_ms_value(op, ms, flipped, memos) for ms, _ in succs)
@@ -274,4 +274,5 @@ def eval_sum(op: Operator, games: Iterable[GameId]) -> FinalScores:
     """
     state = _state(op, games)
     memos = _ms_value_memo[op]
-    return FinalScores(_ms_value(op, state, "L", memos), _ms_value(op, state, "R", memos))
+    return FinalScores(_public(_ms_value(op, state, "L", memos)),
+                       _public(_ms_value(op, state, "R", memos)))

@@ -207,14 +207,14 @@ scores_st = st.fractions(min_value=Fraction(-9), max_value=Fraction(9),
                          max_denominator=3)
 
 
-def games_st(max_leaves: int = 10, max_options: int = 3):
-    """Interned game ids with bounded size."""
+def games_st(max_leaves: int = 10, max_options: int = 3, scores=scores_st):
+    """Interned game ids with bounded size, every score drawn from `scores`."""
     return st.recursive(
-        st.builds(number, scores_st),
+        st.builds(number, scores),
         lambda kids: st.builds(
             lambda left, s, right: make_game(left, s, right),
             st.lists(kids, max_size=max_options),
-            scores_st,
+            scores,
             st.lists(kids, max_size=max_options)),
         max_leaves=max_leaves)
 

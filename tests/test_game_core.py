@@ -7,10 +7,12 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import as_tuple, games_st, oracle_key, scores_st
-from scoreplay import (final_scores, format_game, is_leaf, left_options,
-                       make_game, max_score_magnitude, negate, number,
-                       parse_game, reverse, right_options, score, shift,
-                       store_size, structural_sort_key)
+from scoreplay import (FinalScores, Operator, eval_sum, final_scores,
+                       format_game, is_leaf, left_options, make_game,
+                       max_score_magnitude, negate, number, parse_game,
+                       reverse, right_options, score, shift, store_size,
+                       structural_sort_key, sum_games)
+from scoreplay.game import _nodes
 
 
 def test_number_is_leaf():
@@ -61,8 +63,14 @@ def test_unknown_ids_rejected_at_the_public_api(bad):
 
 
 def test_make_game_rejects_floats():
-    with pytest.raises(TypeError):
-        make_game([], 0.5, [])
+    # floats and bools, through each public function that takes a score
+    for bad in (0.5, 2.0, True, False, None):
+        with pytest.raises(TypeError):
+            make_game([], bad, [])
+        with pytest.raises(TypeError):
+            number(bad)
+        with pytest.raises(TypeError):
+            shift(number(1), bad)
 
 
 def test_store_size_grows_only_for_new_nodes():
@@ -165,3 +173,57 @@ def test_stored_order_is_structural_not_interning_order():
     g = make_game([hi, lo], 0, [])
     assert left_options(g) == (lo, hi)
     assert format_game(g) == "{9000/13,9001/13|0|.}"
+
+
+# -- canonical stored form of scores ------------------------------------------
+
+def _raw_score(g):
+    return _nodes[g][1]
+
+
+def test_integral_scores_are_stored_as_ints_and_intern_once():
+    twos = [number(2), number(Fraction(2)), number("4/2"), parse_game("2"),
+            parse_game("4/2"), shift(number("1/2"), "3/2")]
+    ones = [shift(number("1/2"), "1/2"), number(1)] + [
+        sum_games(op, [number("1/2"), number("1/2")])
+        for op in (Operator.DISJUNCTIVE, Operator.CONJUNCTIVE, Operator.SELECTIVE)]
+    inner = [make_game([number(0)], s, []) for s in (3, Fraction(6, 2), "9/3")]
+    for same in (twos, ones, inner):
+        assert len(set(same)) == 1
+        assert type(_raw_score(same[0])) is int
+    size = store_size()
+    assert number(Fraction(2)) == twos[0] and number("2/2") == ones[0]
+    assert make_game([number(0)], Fraction(3), []) == inner[0]
+    assert store_size() == size
+
+
+def test_fractional_scores_stay_fractions_in_the_store():
+    g = number("1/2")
+    assert type(_raw_score(g)) is Fraction
+    assert type(_raw_score(shift(g, 1))) is Fraction
+    assert type(_raw_score(shift(g, "1/2"))) is int
+
+
+def test_public_api_returns_fractions():
+    g = parse_game("{{.|-2|3}|1|{4|1/2|.}}")
+    assert type(score(g)) is Fraction and type(score(number(3))) is Fraction
+    assert type(max_score_magnitude(g)) is Fraction
+    assert all(type(v) is Fraction for v in final_scores(g))
+    for op in Operator:
+        assert all(type(v) is Fraction for v in eval_sum(op, [g, number(1)]))
+        assert all(type(v) is Fraction for v in final_scores(sum_games(op, [g, g])))
+    assert final_scores(number(3)) == FinalScores(Fraction(3), Fraction(3))
+
+
+def _line(depth, leaf):
+    """A one-option line of `depth` Left moves ending at the leaf `leaf`."""
+    g = number(leaf)
+    for _ in range(depth):
+        g = make_game([g], 0, [])
+    return g
+
+
+def test_compare_has_no_depth_limit():
+    a, b = _line(10 ** 4, 1), _line(10 ** 4, 2)
+    assert structural_sort_key(a) < structural_sort_key(b)
+    assert left_options(make_game([b, a], 0, [])) == (a, b)

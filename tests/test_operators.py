@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import (as_tuple, naive_strict_conjunctive_scores,
+from conftest import (as_tuple, games_st, naive_strict_conjunctive_scores,
                       naive_successors, naive_sum_scores, scores_st,
                       small_games_st)
 from scoreplay import (FinalScores, Operator, eval_sum, final_scores,
                        identity_game, make_game, number, octal, outcome,
                        parse_game, parse_octal, score, shift, sum_games)
+from scoreplay.game import _nodes
 from scoreplay.operators import _TREE_MOVES, _successors
 
 OPS = tuple(Operator)
@@ -155,6 +156,47 @@ def test_repeated_components_match_brute_force_oracle(op, g, h, shape):
     fs = eval_sum(op, comps)
     assert (fs.sl, fs.sr) == expected
     assert final_scores(sum_games(op, comps)) == fs
+
+
+def _offset_games_st(offset: Fraction):
+    """Small trees whose every score is an integer plus `offset`."""
+    return games_st(max_leaves=5, max_options=2,
+                    scores=st.integers(-4, 4).map(lambda k: k + offset))
+
+
+@st.composite
+def _integral_sum_pairs(draw):
+    """Two trees in halves or thirds whose node scores add up to integers."""
+    d = draw(st.sampled_from((2, 3)))
+    r = draw(st.integers(1, d - 1))
+    return draw(_offset_games_st(Fraction(r, d))), draw(_offset_games_st(Fraction(d - r, d)))
+
+
+def _stored_scores(g):
+    seen, stack = {g}, [g]
+    while stack:
+        left, s, right = _nodes[stack.pop()]
+        yield s
+        for x in left + right:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+
+
+@given(_integral_sum_pairs())
+@settings(max_examples=60, deadline=None)
+def test_fractional_components_with_integral_sums_match_oracle(pair):
+    g, h = pair
+    assert all(type(s) is Fraction for s in _stored_scores(g))
+    for op in OPS:
+        expected = naive_sum_scores(op, [as_tuple(g), as_tuple(h)])
+        fs = eval_sum(op, [g, h])
+        assert (fs.sl, fs.sr) == expected
+        assert type(fs.sl) is Fraction and type(fs.sr) is Fraction
+        composite = sum_games(op, [g, h])
+        assert final_scores(composite) == fs
+        # every composite node adds one node of g to one of h: an integer
+        assert all(type(s) is int for s in _stored_scores(composite))
 
 
 @given(st.sampled_from(COMMUTATIVE),
