@@ -3,7 +3,8 @@
 Left maximizes and Right minimizes the net score (Left's total minus
 Right's).  Play ends the moment the player to move has no option; the
 score of the node reached is the final score.  `final_scores(g)` returns
-the pair (Left moving first, Right moving first).
+the pair (Left moving first, Right moving first), folded up the tree from
+its leaves by `game._postorder`, so a game of any depth evaluates.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .game import GameId, _node, _nodes, _public
+from .game import GameId, _node, _postorder, _public
 
 
 class FinalScores(NamedTuple):
@@ -42,14 +43,12 @@ def final_scores(g: GameId) -> FinalScores:
 
 def _scores(g: GameId) -> FinalScores:
     """`final_scores` for a known id, with the scores in stored form."""
-    got = _scores_memo.get(g)
-    if got is None:
-        left, s, right = _nodes[g]
-        sl = max(_scores(x).sr for x in left) if left else s
-        sr = min(_scores(x).sl for x in right) if right else s
-        got = FinalScores(sl, sr)
-        _scores_memo[g] = got
-    return got
+    return _postorder(g, _best_replies, _scores_memo)
+
+
+def _best_replies(left, s, right, memo) -> FinalScores:
+    return FinalScores(max(memo[x].sr for x in left) if left else s,
+                       min(memo[x].sl for x in right) if right else s)
 
 
 def outcome_of_scores(scores: FinalScores) -> Outcome:

@@ -17,8 +17,13 @@ Ids are checked once, at the public API: `make_game`, `shift` and the
 accessors raise ValueError for an unknown id.  The engine's own builders
 hold ids that are known already; they read `_nodes[g]` directly and
 intern through `_make`, which takes option ids that are unique and
-sorted as ints and checks nothing.  The shift memo is nested by amount,
-`_shift_memo[amount][g]`, so the walk under one amount keys on ints.
+sorted as ints and checks nothing.
+
+Whole-tree walks (final scores, negate, reverse, shift, magnitudes, the
+sequential join, impartiality) share one post-order fold, `_postorder`.
+It walks the DAG on an explicit stack, so any depth works, and computes
+each node's value once, from its options' values, into the walk's memo.
+The shift memo is nested by amount, `_shift_memo[amount][g]`.
 
 Scores are exact rationals.  The store keeps each one in a canonical
 form: an `int` when the value is integral, a `fractions.Fraction` only
@@ -38,7 +43,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 GameId = int
 Score = Fraction
@@ -185,14 +190,40 @@ _shift_memo: dict[Raw, dict[GameId, GameId]] = {}
 _magnitude_memo: dict[GameId, Raw] = {}
 
 
+def _postorder(g: GameId, combine: Callable[[tuple, Raw, tuple, dict], object], memo: dict):
+    """Fold the DAG below the known id `g` bottom up, on an explicit stack.
+
+    A node missing from `memo` gets `memo[node] = combine(left, s, right, memo)`
+    once its options have entries; no value may be None.  Returns `memo[g]`.
+    """
+    got = memo.get(g)
+    if got is not None:
+        return got
+    node = _nodes[g]
+    stack = [(g, node, iter(node[0] + node[2]))]
+    while stack:
+        g, node, todo = stack[-1]
+        for x in todo:
+            if x not in memo:
+                child = _nodes[x]
+                stack.append((x, child, iter(child[0] + child[2])))
+                break
+        else:
+            stack.pop()
+            memo[g] = combine(*node, memo)
+    return memo[g]
+
+
+def _mapped(options: tuple[GameId, ...], memo: dict[GameId, GameId]) -> tuple[GameId, ...]:
+    """The options' images under an injective map, unique and sorted as ints."""
+    return tuple(sorted([memo[x] for x in options]))
+
+
 def negate(g: GameId) -> GameId:
     """Swap the players and negate every score.  An involution."""
-    got = _negate_memo.get(g)
-    if got is None:
-        left, s, right = _node(g)
-        got = make_game([negate(x) for x in right], -s, [negate(x) for x in left])
-        _negate_memo[g] = got
-    return got
+    _node(g)
+    return _postorder(g, lambda left, s, right, memo: _make(
+        _mapped(right, memo), -s, _mapped(left, memo)), _negate_memo)
 
 
 def reverse(g: GameId) -> GameId:
@@ -201,12 +232,9 @@ def reverse(g: GameId) -> GameId:
     Unlike `negate` this does not swap sides: reverse({4|3|2}) = {-4|-3|-2}
     while negate({4|3|2}) = {-2|-3|-4}.  Also an involution.
     """
-    got = _reverse_memo.get(g)
-    if got is None:
-        left, s, right = _node(g)
-        got = make_game([reverse(x) for x in left], -s, [reverse(x) for x in right])
-        _reverse_memo[g] = got
-    return got
+    _node(g)
+    return _postorder(g, lambda left, s, right, memo: _make(
+        _mapped(left, memo), -s, _mapped(right, memo)), _reverse_memo)
 
 
 def shift(g: GameId, amount: ScoreLike) -> GameId:
@@ -225,35 +253,15 @@ def _shift(g: GameId, c: Raw) -> GameId:
     memo = _shift_memo.get(c)
     if memo is None:
         memo = _shift_memo.setdefault(c, {})
-    return _shift_walk(g, c, memo)
-
-
-def _shift_walk(g: GameId, c: Raw, memo: dict[GameId, GameId]) -> GameId:
     got = memo.get(g)
     if got is None:
-        left, s, right = _nodes[g]
-        # shifting is injective, so the shifted options stay unique
-        got = _make(tuple(sorted([_shift_walk(x, c, memo) for x in left])), s + c,
-                    tuple(sorted([_shift_walk(x, c, memo) for x in right])))
-        memo[g] = got
+        got = _postorder(g, lambda left, s, right, memo: _make(
+            _mapped(left, memo), s + c, _mapped(right, memo)), memo)
     return got
 
 
 def max_score_magnitude(g: GameId) -> Fraction:
     """Largest |score| over all nodes of the tree."""
     _node(g)
-    return _public(_magnitude(g))
-
-
-def _magnitude(g: GameId) -> Raw:
-    """`max_score_magnitude` for a known id, in canonical form."""
-    got = _magnitude_memo.get(g)
-    if got is None:
-        left, s, right = _nodes[g]
-        got = abs(s)
-        for x in left + right:
-            m = _magnitude(x)
-            if m > got:
-                got = m
-        _magnitude_memo[g] = got
-    return got
+    return _public(_postorder(g, lambda left, s, right, memo: max(
+        [abs(s)] + [memo[x] for x in left + right]), _magnitude_memo))

@@ -11,7 +11,8 @@ such games print: parse("{.|5|.}") formats back as "5".  The dot is the
 only way to write an empty option set; "{1|2}" is not a game.  Scores are
 exact ("1/3", never "0.333").
 
-Files hold one game per line; '#' starts a comment.
+Files hold one game per line; '#' starts a comment.  Parsing and
+printing keep their own stacks, so no nesting depth is too deep for them.
 
 Octal rulesets are written "0.337:1,2,0" - digits after the "0." (which
 may be omitted), then optional ':' and one point value per digit.  When
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .game import GameId, is_leaf, left_options, make_game, right_options, score
+from .game import GameId, _node, _nodes, make_game
 from .octal import OctalRuleset
 
 
@@ -82,39 +83,55 @@ class _Parser:
         return num
 
     def game(self) -> GameId:
-        self.skip_ws()
-        c = self.peek()
-        if c == "{":
-            self.pos += 1
-            lefts = self.options()
+        """One game; open braces wait on a stack, so any nesting depth parses."""
+        stack: list[list] = []     # per open brace: [left ids, score, right ids]
+        starts, g = True, None     # whether a game starts here; a game just read
+        while True:
+            if starts:
+                self.skip_ws()
+                c = self.peek()
+                if c == "{":
+                    self.pos += 1
+                    stack.append([[], None, []])
+                    starts = self.options_follow()
+                    continue
+                if not (c.isdigit() or c in ("+", "-")):
+                    self.error("expected a game")
+                g, starts = make_game((), self.rational(), ()), False
+            if g is not None:
+                if not stack:
+                    return g
+                top = stack[-1]
+                top[0 if top[1] is None else 2].append(g)
+                g = None
+                self.skip_ws()
+                if self.peek() == ",":
+                    self.pos += 1
+                    starts = True
+                    continue
+            # the innermost brace's current option list has ended
+            top = stack[-1]
             self.skip_ws()
-            self.take("|")
-            self.skip_ws()
-            s = self.rational()
-            self.skip_ws()
-            if self.peek() != "|":
-                self.error("expected '|' after the score (games are {options|score|options})")
-            self.pos += 1
-            rights = self.options()
-            self.skip_ws()
-            self.take("}")
-            return make_game(lefts, s, rights)
-        if c.isdigit() or c in ("+", "-"):
-            return make_game((), self.rational(), ())
-        self.error("expected a game")
+            if top[1] is None:
+                self.take("|")
+                self.skip_ws()
+                top[1] = self.rational()
+                self.skip_ws()
+                if self.peek() != "|":
+                    self.error("expected '|' after the score (games are {options|score|options})")
+                self.pos += 1
+                starts = self.options_follow()
+            else:
+                self.take("}")
+                g = make_game(*stack.pop())
 
-    def options(self) -> list[GameId]:
+    def options_follow(self) -> bool:
+        """Whether an option list starts here; consumes the '.' of an empty one."""
         self.skip_ws()
         if self.peek() == ".":
             self.pos += 1
-            return []
-        out = [self.game()]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            out.append(self.game())
-            self.skip_ws()
-        return out
+            return False
+        return True
 
 
 def parse_game(text: str) -> GameId:
@@ -132,12 +149,34 @@ def format_score(value: Fraction) -> str:
 
 
 def format_game(g: GameId) -> str:
-    """Canonical text for a game; round-trips through parse_game."""
-    if is_leaf(g):
-        return format_score(score(g))
-    lefts = ",".join(format_game(x) for x in left_options(g)) or "."
-    rights = ",".join(format_game(x) for x in right_options(g)) or "."
-    return "{%s|%s|%s}" % (lefts, format_score(score(g)), rights)
+    """Canonical text for a game; round-trips through parse_game.
+
+    Written from a stack of pending text and ids, so any depth prints.
+    """
+    _node(g)
+    out = []
+    stack: list = [g]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        left, s, right = _nodes[item]
+        if left or right:
+            stack += reversed(["{", *_listed(left), f"|{format_score(s)}|", *_listed(right), "}"])
+        else:
+            out.append(format_score(s))
+    return "".join(out)
+
+
+def _listed(options: tuple[GameId, ...]) -> list:
+    """An option list as `format_game` writes it: ids between commas, or '.'."""
+    if not options:
+        return ["."]
+    items = [options[0]]
+    for x in options[1:]:
+        items += [",", x]
+    return items
 
 
 def parse_game_lines(text: str | Iterable[str]) -> list[GameId]:

@@ -42,7 +42,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
 from .evaluate import FinalScores, _scores
-from .game import GameId, Raw, _make, _node, _nodes, _public, _shift
+from .game import GameId, Raw, _make, _node, _nodes, _postorder, _public, _shift
 
 
 class Operator(Enum):
@@ -208,21 +208,20 @@ def _composite(op: Operator, state: tuple[GameId, ...], memo: dict) -> GameId:
     return got
 
 
-_seq_join_memo: dict[tuple[GameId, GameId], GameId] = {}
+_seq_join_memo: dict[GameId, dict[GameId, GameId]] = {}
 
 
 def _seq_join(g: GameId, h: GameId) -> GameId:
     """Binary sequential join: play g out, then h, scores accumulating."""
-    left, s, right = _nodes[g]
-    if not left and not right:
-        return _shift(h, s)
-    key = (g, h)
-    got = _seq_join_memo.get(key)
+    memo = _seq_join_memo.setdefault(h, {})     # nested by h, keyed on g
+    got = memo.get(g)
     if got is None:
-        got = _make(tuple(sorted({_seq_join(x, h) for x in left})),
-                    s + _nodes[h][1],
-                    tuple(sorted({_seq_join(x, h) for x in right})))
-        _seq_join_memo[key] = got
+        def join(left, s, right, memo):
+            if not left and not right:
+                return _shift(h, s)
+            return _make(tuple(sorted({memo[x] for x in left})), s + _nodes[h][1],
+                         tuple(sorted({memo[x] for x in right})))
+        got = _postorder(g, join, memo)
     return got
 
 

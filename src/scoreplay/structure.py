@@ -24,9 +24,9 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .evaluate import Outcome, outcome, outcome_of_scores
-from .game import (GameId, _node, as_score, is_leaf, left_options, make_game,
-                   max_score_magnitude, negate, number, reverse, right_options,
-                   score, shift)
+from .game import (GameId, _node, _postorder, _shift, as_score, is_leaf, left_options,
+                   make_game, max_score_magnitude, negate, number, reverse,
+                   right_options, score, shift)
 from .notation import format_game
 from .operators import Operator, eval_sum, sum_games
 
@@ -35,18 +35,14 @@ _impartial_memo: dict[GameId, bool] = {}
 
 def is_impartial(g: GameId) -> bool:
     """Whether both players have mirrored options at every node."""
-    got = _impartial_memo.get(g)
-    if got is None:
-        left, s, right = _node(g)
-        got = bool(left) == bool(right)
-        if got and left:
-            lefts = {shift(x, -s) for x in left}
-            rights = {negate(shift(x, -s)) for x in right}
-            got = lefts == rights
-        if got:
-            got = all(is_impartial(x) for x in left + right)
-        _impartial_memo[g] = got
-    return got
+    _node(g)
+    return _postorder(g, _mirrored, _impartial_memo)
+
+
+def _mirrored(left, s, right, memo) -> bool:
+    if bool(left) != bool(right) or not all(memo[x] for x in left + right):
+        return False
+    return {_shift(x, -s) for x in left} == {negate(_shift(x, -s)) for x in right}
 
 
 @dataclass(frozen=True)
@@ -117,10 +113,8 @@ def identity_game() -> GameId:
 
 def _single_line(g: GameId) -> bool:
     """At most one option per side everywhere: play is one forced line."""
-    left, _, right = _node(g)
-    if len(left) > 1 or len(right) > 1:
-        return False
-    return all(_single_line(x) for x in left + right)
+    return _postorder(g, lambda left, s, right, memo: len(left) <= 1 and len(right) <= 1
+                      and all(memo[x] for x in left + right), {})
 
 
 def conjunctive_inverse(g: GameId) -> GameId:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import scoreplay
-from scoreplay import cli
+from scoreplay import FinalScores, cli, outcome_of_scores
 from scoreplay.cli import main
 
 
@@ -76,19 +76,22 @@ def test_too_deep_or_too_large_exits_2(capsys, monkeypatch, error):
     assert err == "scoreplay: error: input too deep or too large to evaluate\n"
 
 
-def test_deep_game_file_exits_2_without_traceback(tmp_path):
-    text = "0"
-    for _ in range(1500):
-        text = "{%s|0|.}" % text
+@pytest.mark.parametrize("depth", [1500, 10 ** 4])
+def test_deep_game_file_evaluates(tmp_path, depth):
+    # a line of Left moves; the node at depth i from the root scores i % 7 - 3
+    scores = [i % 7 - 3 for i in range(depth)]
+    text = "{" * depth + "0" + "".join(f"|{s}|.}}" for s in reversed(scores))
+    sl = sr = 0
+    for s in reversed(scores):
+        sl, sr = sr, s
     path = tmp_path / "deep.txt"
     path.write_text(text + "\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(scoreplay.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "scoreplay", "eval", "--file", str(path)],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "scoreplay: error: input too deep or too large to evaluate"]
+    verdict = outcome_of_scores(FinalScores(sl, sr))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{text}: SL={sl} SR={sr} outcome={verdict}\n"
 
 
 def test_sum_sequential_leaves(capsys):

@@ -1,0 +1,134 @@
+"""Whole-tree walks at any depth: no entry point is bounded by the call stack.
+
+Each expected value comes from a loop over the levels of the line in the
+test itself, never from the walk under test.
+"""
+
+import signal
+from contextlib import contextmanager
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+from scoreplay import (FinalScores, Operator, conjunctive_inverse, final_scores,
+                       format_game, is_impartial, make_game, max_score_magnitude,
+                       negate, number, parse_game, reverse, shift, sum_games)
+
+BOTTOM = 3      # score of the leaf at the end of every line
+
+
+def _level(i):
+    """Level i of a line, 0 being the root: its score and its side leaf's score."""
+    return Fraction(i % 5 - 2, 1 + i % 3), i % 9 - 4
+
+
+def _fold_line(depth, bottom, node):
+    """`node(i, value, s, x)` from the bottom level up, starting from `bottom`."""
+    value = bottom
+    for i in reversed(range(depth)):
+        s, x = _level(i)
+        value = node(i, value, s, x)
+    return value
+
+
+def _build(depth, f=lambda v: v, swap=False):
+    """The line with every score mapped by `f`, and sides swapped if `swap`.
+
+    The line goes on through Left's option at even levels and through
+    Right's at odd ones; the other side holds a leaf.  So both players
+    walk all of it.
+    """
+    def node(i, g, s, x):
+        on_left = (i % 2 == 0) != swap
+        leaf = number(f(x))
+        return make_game([g] if on_left else [leaf], f(s), [leaf] if on_left else [g])
+    return _fold_line(depth, number(f(BOTTOM)), node)
+
+
+@cache
+def _line(depth):
+    return _build(depth)
+
+
+@cache
+def _ladder(depth, c):
+    """Every node scores `c`, with one option, the next node, on both sides."""
+    g = number(c)
+    for _ in range(depth):
+        g = make_game([g], c, [g])
+    return g
+
+
+def _text(depth):
+    prefixes, suffixes = [], []
+    for i in range(depth):
+        s, x = _level(i)
+        prefixes.append("{" if i % 2 == 0 else f"{{{x}|{s}|")
+        suffixes.append(f"|{s}|{x}}}" if i % 2 == 0 else "}")
+    return "".join(prefixes) + str(BOTTOM) + "".join(reversed(suffixes))
+
+
+def _round_trip(depth):
+    text = _text(depth)
+    return (format_game(_line(depth)), parse_game(text)), (text, _line(depth))
+
+
+def _final_scores(depth):
+    sl, sr = _fold_line(depth, (BOTTOM, BOTTOM),
+                        lambda i, fs, s, x: (fs[1], x) if i % 2 == 0 else (x, fs[0]))
+    return final_scores(_line(depth)), FinalScores(sl, sr)
+
+
+def _magnitude(depth):
+    largest = max(abs(v) for i in range(depth) for v in _level(i))
+    return max_score_magnitude(_line(depth)), max(largest, BOTTOM)
+
+
+#: entry point -> a function of the depth giving (its result, the expected result)
+CASES = {
+    "format_parse": _round_trip,
+    "final_scores": _final_scores,
+    "negate": lambda d: (negate(_line(d)), _build(d, lambda v: -v, swap=True)),
+    "reverse": lambda d: (reverse(_line(d)), _build(d, lambda v: -v)),
+    "shift": lambda d: (shift(_line(d), "1/3"), _build(d, lambda v: v + Fraction(1, 3))),
+    "max_score_magnitude": _magnitude,
+    "is_impartial": lambda d: (is_impartial(_ladder(d, Fraction(1, 2))), True),
+    "conjunctive_inverse": lambda d: (conjunctive_inverse(_ladder(d, 2)), _ladder(d, -2)),
+    # joining a leaf after the line shifts the line by the leaf's score
+    "sequential_sum": lambda d: (sum_games(Operator.SEQUENTIAL, [_line(d), number(5)]),
+                                 _build(d, lambda v: v + 5)),
+}
+
+
+@pytest.mark.parametrize("name,depth", [(name, 10 ** 4) for name in CASES]
+                         + [("final_scores", 10 ** 5), ("negate", 10 ** 5)])
+def test_walks_have_no_depth_limit(name, depth):
+    got, want = CASES[name](depth)
+    assert got == want
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_walks_visit_a_shared_node_once():
+    # 2^(10^4) paths lead through this DAG of 10^4 + 1 nodes: only a walk
+    # that folds each node once finishes
+    ladder = _ladder(10 ** 4, 1)
+    with _deadline(1.0):
+        assert final_scores(ladder) == FinalScores(1, 1)
+    with _deadline(1.0):
+        assert negate(ladder) == _ladder(10 ** 4, -1)
+    with _deadline(1.0):
+        assert is_impartial(ladder)
