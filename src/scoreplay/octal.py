@@ -16,8 +16,8 @@ move, is worth 0.  Under the sequential operator positions are ordered
 and only the first live heap may be played; splitting rulesets are
 rejected there because a split has no sequential reading.
 
-Values are computed in integer arithmetic scaled by the common
-denominator of the point awards, which keeps the inner recursion cheap;
+Values are computed by `operators._negamax`, which tree sums share, in
+integer arithmetic scaled by the common denominator of the point awards;
 results are exact Fractions.  Heaps are interned too: the heap store
 gives each (ruleset, size) pair a small int heap id once, and holds the
 heap's raw moves, computed at insertion.  A state of the recursion is a
@@ -36,7 +36,7 @@ from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .game import GameId, as_score, number, make_game, shift
-from .operators import Moves, Operator, _successors, sum_games
+from .operators import Moves, Operator, _negamax, sum_games
 
 
 def default_points(digits: Sequence[int]) -> tuple[Fraction, ...]:
@@ -203,28 +203,9 @@ def _canonical(op: Operator, hids: Sequence[int]) -> tuple[int, ...]:
     return tuple(live)
 
 
-#: scale -> (scaled moves, {op: (value memo, `_successors` group cache)}):
-#: the operators share one copy of the moves, the group caches live with
-#: the moves they were built from, and no per-state key carries the operator
-_gs_tables: dict[int, tuple[Moves, dict[Operator, tuple[dict, dict]]]] = {}
-
-
-def _gs(op: Operator, state: tuple[int, ...], scale: int) -> int:
-    """Value of a canonical live state, in points times `scale`."""
-    # setdefault only on a miss: its default would be built on every call
-    moves, per_op = _gs_tables.get(scale) or _gs_tables.setdefault(scale, (_scaled_moves(scale), {}))
-    memo, groups = per_op.get(op) or per_op.setdefault(op, ({}, {}))
-
-    def value(state: tuple) -> int:
-        if not state:
-            return 0
-        val = memo.get(state)
-        if val is None:
-            succs = _successors(op, state, moves, groups)
-            val = max(pts - value(succ) for succ, pts in succs)
-            memo[state] = val
-        return val
-    return value(state)
+#: scale -> (scaled moves, {op: the heap's `operators._negamax` side}): the
+#: operators share one copy of the moves, and no per-state key carries the operator
+_gs_tables: dict[int, tuple[Moves, dict[Operator, tuple]]] = {}
 
 
 def _check_rules(op: Operator, rules: OctalRuleset) -> None:
@@ -253,7 +234,10 @@ def _prepare(op: Operator, position: Position) -> tuple[tuple, int]:
 def grundy_value(op: Operator, position: Position) -> Fraction:
     """Mover-relative value of a heap position under `op`."""
     state, scale = _prepare(op, position)
-    return Fraction(_gs(op, state, scale), scale)
+    # setdefault only on a miss: its default would be built on every call
+    moves, sides = _gs_tables.get(scale) or _gs_tables.setdefault(scale, (_scaled_moves(scale), {}))
+    side = sides.get(op) or sides.setdefault(op, (moves, {}, {}, None))
+    return Fraction(_negamax(op, state, side, side), scale)
 
 
 def heap_value(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE) -> Fraction:

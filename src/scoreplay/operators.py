@@ -21,17 +21,16 @@ ending at any point pays out the sum of wherever each component stopped.
 `eval_sum` computes its final scores directly on multisets of component
 ids without building the tree.  The two must agree exactly, and the test
 suite holds them to that.  `_successors` is the one place that knows the
-four move rules; the octal heap recursion uses it too.  It returns one
-(state, points) pair per combined move, repeats allowed, and every caller
-folds them: a max or min of values, or a set of composite ids.
+four move rules, and `_negamax` the one evaluator of optimal play on
+states, for heap positions (`octal.grundy_value`) and tree sums alike.
 
 Both sort the components once, at the public call; successor states
 come back sorted, so the recursion never sorts again.  The composite
 memo keys on that raw sorted state, leaves included, so each successor
 edge of a tree sum costs one int-keyed lookup.  Leaves are folded only
 on a miss.  A sum of one game is that game, shifted by the leaves beside
-it, under every operator: `_composite` returns it and `eval_sum` reads
-its final scores, without generating its successors.
+it, under every operator: `_composite` returns it, and the tree sides of
+`_negamax` read its final scores instead of expanding it.
 """
 
 from __future__ import annotations
@@ -62,22 +61,24 @@ class Operator(Enum):
         raise ValueError(f"unknown operator: {text!r}")
 
 
-Moves = Callable[[object], Sequence[tuple[int, tuple]]]
+#: a component's moves as (points, parts) pairs, points being mover-relative
+Moves = Callable[[object], Sequence[tuple[Raw, tuple]]]
 
 
-def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> list[tuple[tuple, int]]:
+def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> list[tuple[tuple, Raw]]:
     """One turn of `op` from `state`, as (successor state, points) pairs.
 
     There is one pair per combined move, so a successor reachable in
     several ways may repeat, with the same or different points; callers
-    fold the pairs (a max, a min or a set) and never need them distinct.
+    fold the pairs (a max or a set) and never need them distinct.
     `state` is a canonical tuple of components: sorted for the commutative
     operators, in play order for the sequential one, and successors come
     back in the same form.  Components are ints for trees and heaps alike,
     interned game ids or interned heap ids (`octal._hid`), so a state
     hashes, compares and sorts as a flat tuple of ints.  `moves(c)` lists
-    the mover's options in component c as (points, parts) pairs, `parts`
-    being the components that replace c.  `groups` caches the choices of
+    the mover's options in component c as (points, parts) pairs: `parts`
+    replace c, and `points`, the mover's gain, are ints for heaps and
+    stored-score differences for trees.  `groups` caches the choices of
     each run of equal components by (component, count); share it only
     between calls with the same `op` and `moves`.
     """
@@ -153,7 +154,7 @@ def _state(op: Operator, games: Iterable[GameId]) -> tuple[GameId, ...]:
     return comps if op is Operator.SEQUENTIAL else tuple(sorted(comps))
 
 
-#: Tree components as `_successors` sees them: a move replaces the
+#: Tree components as `_composite` builds on them: a move replaces the
 #: component by one of the mover's options and scores nothing by itself.
 _TREE_MOVES = {
     "L": lambda g: tuple((0, (o,)) for o in _nodes[g][0]),
@@ -235,43 +236,58 @@ def sum_games(op: Operator, games: Iterable[GameId]) -> GameId:
     return _composite(op, state, _build_memo[op])
 
 
-_ms_value_memo: dict[Operator, dict[str, dict[tuple[GameId, ...], Raw]]] = {
-    op: {"L": {}, "R": {}} for op in Operator}
-
-
-def _ms_value(op: Operator, state: tuple[GameId, ...], side: str, memos: dict) -> Raw:
-    """Final score of the composite of `state` with `side` to move.
-
-    `memos` is `_ms_value_memo[op]`, keyed per side on the state with its
-    leaves removed.  Values are raw sums of stored scores, an int or a
-    Fraction; `eval_sum` converts them for the public API.
-    """
-    folded, core = _fold_leaves(state)
-    if not core:
-        return folded
-    if len(core) == 1:
-        fs = _scores(core[0])
-        return folded + (fs.sl if side == "L" else fs.sr)
-    memo = memos[side]
-    val = memo.get(core)
+def _negamax(op: Operator, state: tuple, mover: tuple, other: tuple) -> Raw:
+    """Value of `state` to `mover`, with `other` to move next: the mover's
+    best points minus the successor's value to `other`, or 0 with no move.
+    A side is (moves, memo, groups, alone); `alone(c)`, unless None, values
+    (c,) without expanding it.  One frame and one generator frame per ply."""
+    if not state:
+        return 0
+    val = mover[1].get(state)
     if val is None:
-        succs = _successors(op, core, _TREE_MOVES[side], {})
-        if not succs:
-            val = sum(_nodes[g][1] for g in core)
-        else:
-            flipped = "R" if side == "L" else "L"
-            values = (_ms_value(op, ms, flipped, memos) for ms, _ in succs)
-            val = max(values) if side == "L" else min(values)
-        memo[core] = val
-    return folded + val
+        moves, memo, groups, alone = mover
+        if alone is not None and len(state) == 1:
+            return alone(state[0])
+        known = other[1].get    # a successor's memo hit costs no call
+        val = max((pts - (v if (v := known(succ)) is not None else _negamax(op, succ, other, mover))
+                   for succ, pts in _successors(op, state, moves, groups)), default=0)
+        memo[state] = val
+    return val
+
+
+def _tree_side(left: bool) -> tuple:
+    """Left's or Right's side of `_negamax` on tree states: a move from g
+    to o scores s(o) - s(g) for Left and s(g) - s(o) for Right, and an
+    option-less o drops out, as a dead heap does.  A lone component is
+    valued from its final scores, so at any depth."""
+    pick = 0 if left else 2
+
+    def moves(g: GameId) -> list[tuple[Raw, tuple[GameId, ...]]]:
+        s = _nodes[g][1]
+        out = []
+        for o in _nodes[g][pick]:
+            lo, so, ro = _nodes[o]
+            out.append((so - s if left else s - so, (o,) if lo or ro else ()))
+        return out
+
+    def alone(g: GameId) -> Raw:
+        return _scores(g).sl - _nodes[g][1] if left else _nodes[g][1] - _scores(g).sr
+    return moves, {}, {}, alone
+
+
+#: op -> (Left's side, Right's side), their memos keyed on states without leaves
+_TREE_SIDES = {op: (_tree_side(True), _tree_side(False)) for op in Operator}
 
 
 def eval_sum(op: Operator, games: Iterable[GameId]) -> FinalScores:
-    """Final scores of the composite, computed without materializing it.
-
-    Agrees exactly with final_scores(sum_games(op, games)).
-    """
+    """Final scores of the composite, computed without materializing it;
+    they agree exactly with final_scores(sum_games(op, games))."""
     state = _state(op, games)
-    memos = _ms_value_memo[op]
-    return FinalScores(_public(_ms_value(op, state, "L", memos)),
-                       _public(_ms_value(op, state, "R", memos)))
+    folded, core = _fold_leaves(state)
+    total = folded + sum(_nodes[g][1] for g in core)
+    left, right = _TREE_SIDES[op]
+    # the group caches last one call: kept, they grow for the life of the process
+    left[2].clear()
+    right[2].clear()
+    return FinalScores(_public(total + _negamax(op, core, left, right)),
+                       _public(total - _negamax(op, core, right, left)))

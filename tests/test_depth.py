@@ -11,9 +11,10 @@ from functools import cache
 
 import pytest
 
-from scoreplay import (FinalScores, Operator, conjunctive_inverse, final_scores,
-                       format_game, is_impartial, make_game, max_score_magnitude,
-                       negate, number, parse_game, reverse, shift, sum_games)
+from scoreplay import (FinalScores, Operator, conjunctive_inverse, eval_sum,
+                       final_scores, format_game, is_impartial, make_game,
+                       max_score_magnitude, negate, number, parse_game, reverse,
+                       shift, sum_games)
 
 BOTTOM = 3      # score of the leaf at the end of every line
 
@@ -106,6 +107,19 @@ CASES = {
 def test_walks_have_no_depth_limit(name, depth):
     got, want = CASES[name](depth)
     assert got == want
+
+
+@pytest.mark.parametrize("op", list(Operator))
+@pytest.mark.parametrize("where", ["alone", "before a leaf", "after a leaf"])
+def test_eval_sum_reads_a_lone_deep_component(op, where):
+    # a sum of one game is that game, shifted by the leaves beside it, so
+    # the line is read from its final scores, never played move by move
+    depth, c = 10 ** 4, Fraction(-7, 2)
+    line, leaf = _line(depth), number(c)
+    comps, by = {"alone": ([line], 0), "before a leaf": ([line, leaf], c),
+                 "after a leaf": ([leaf, line], c)}[where]
+    _, want = _final_scores(depth)
+    assert eval_sum(op, comps) == FinalScores(want.sl + by, want.sr + by)
 
 
 @contextmanager

@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 from conftest import naive_heap_value
 from scoreplay import octal
 from scoreplay import (OctalRuleset, Operator, compare_periods, default_points,
-                       final_scores, find_period, grundy_value, heap_game,
+                       eval_sum, final_scores, find_period, grundy_value, heap_game,
                        heap_moves, heap_value, is_impartial, number,
                        parse_game, parse_octal, reference_period, sum_games,
                        value_table)
@@ -280,8 +280,10 @@ def test_heap_game_matches_flat_recursion(op):
     for beans in ((3,), (4,), (2, 3), (3, 3), (1, 2, 3)):
         pos = [(rules, n) for n in beans]
         trees = [heap_game(rules, n, op) for n in beans]
-        got = final_scores(sum_games(op, trees)).sl
-        assert got == grundy_value(op, pos)
+        v = grundy_value(op, pos)
+        assert final_scores(sum_games(op, trees)).sl == v
+        # both callers of the shared evaluator agree on the same positions
+        assert eval_sum(op, trees) == (v, -v)
 
 
 def test_value_table_disjunctive_anchor():
