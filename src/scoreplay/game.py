@@ -23,7 +23,9 @@ Whole-tree walks (final scores, negate, reverse, shift, magnitudes, the
 sequential join, impartiality) share one post-order fold, `_postorder`.
 It walks the DAG on an explicit stack, so any depth works, and computes
 each node's value once, from its options' values, into the walk's memo.
-The shift memo is nested by amount, `_shift_memo[amount][g]`.
+Negate and shift keep their memos across calls, which later calls reuse;
+reverse and magnitudes fold into a dict of their own per call.  The
+shift memo is nested by amount, `_shift_memo[amount][g]`.
 
 Scores are exact rationals.  The store keeps each one in a canonical
 form: an `int` when the value is integral, a `fractions.Fraction` only
@@ -185,9 +187,7 @@ def store_size() -> int:
 
 
 _negate_memo: dict[GameId, GameId] = {}
-_reverse_memo: dict[GameId, GameId] = {}
 _shift_memo: dict[Raw, dict[GameId, GameId]] = {}
-_magnitude_memo: dict[GameId, Raw] = {}
 
 
 def _postorder(g: GameId, combine: Callable[[tuple, Raw, tuple, dict], object], memo: dict):
@@ -234,7 +234,7 @@ def reverse(g: GameId) -> GameId:
     """
     _node(g)
     return _postorder(g, lambda left, s, right, memo: _make(
-        _mapped(left, memo), -s, _mapped(right, memo)), _reverse_memo)
+        _mapped(left, memo), -s, _mapped(right, memo)), {})
 
 
 def shift(g: GameId, amount: ScoreLike) -> GameId:
@@ -264,4 +264,4 @@ def max_score_magnitude(g: GameId) -> Fraction:
     """Largest |score| over all nodes of the tree."""
     _node(g)
     return _public(_postorder(g, lambda left, s, right, memo: max(
-        [abs(s)] + [memo[x] for x in left + right]), _magnitude_memo))
+        [abs(s)] + [memo[x] for x in left + right]), {}))

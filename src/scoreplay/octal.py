@@ -18,10 +18,11 @@ rejected there because a split has no sequential reading.
 
 Values are computed by `operators._negamax`, which tree sums share, in
 integer arithmetic scaled by the common denominator of the point awards;
-results are exact Fractions.  Heaps are interned too: the heap store
-gives each (ruleset, size) pair a small int heap id once, and holds the
-heap's raw moves, computed at insertion.  A state of the recursion is a
-tuple of heap ids, sorted for the commutative operators, so it hashes
+results are exact Fractions.  Heaps are interned too: one heap store,
+keyed on the ruleset object itself and the size, gives each (ruleset,
+size) pair a small int heap id once, and holds the ruleset, the size and
+the heap's raw moves, computed at insertion.  A state of the recursion
+is a tuple of heap ids, sorted for the commutative operators, so it hashes
 and compares as a flat tuple of ints, as a state of interned game ids
 does.  Heap sizes must be ints; nothing is truncated into another heap.
 """
@@ -36,7 +37,7 @@ from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .game import GameId, as_score, number, make_game, shift
-from .operators import Moves, Operator, _negamax, sum_games
+from .operators import Moves, Operator, _check_op, _negamax, sum_games
 
 
 def default_points(digits: Sequence[int]) -> tuple[Fraction, ...]:
@@ -72,8 +73,9 @@ class OctalRuleset:
                     f"{len(digits)} digits but {len(points)} point values")
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "points", points)
-        # every grundy_value call looks its heaps' rulesets up in `_rids`;
-        # hashing the Fraction points afresh each time is wasted work
+        # every grundy_value call looks its heaps up in the heap store by
+        # (ruleset, size); hashing the Fraction points afresh each time is
+        # wasted work
         object.__setattr__(self, "_hash", hash((digits, points)))
 
     def __hash__(self) -> int:
@@ -94,43 +96,25 @@ class OctalRuleset:
 Heap = tuple[OctalRuleset, int]
 Position = Iterable[Heap]
 
-# ruleset interning so heaps intern as small int pairs
-_rids: dict[OctalRuleset, int] = {}
-_rulesets: list[OctalRuleset] = []
-_rid_lock = threading.Lock()
-
-
-def _rid(rules: OctalRuleset) -> int:
-    got = _rids.get(rules)
-    if got is not None:
-        return got
-    with _rid_lock:
-        got = _rids.get(rules)
-        if got is None:
-            got = len(_rulesets)
-            _rulesets.append(rules)
-            _rids[rules] = got
-        return got
-
-
 RawMoves = tuple[tuple[Fraction, tuple[int, ...]], ...]
 
-#: the heap store: (rid, n) -> heap id, and heap id -> (rid, n, raw moves)
-_hids: dict[tuple[int, int], int] = {}
-_heaps: list[tuple[int, int, RawMoves]] = []
+#: the heap store: (ruleset, n) -> heap id, and heap id -> (ruleset, n, raw moves)
+_hids: dict[tuple[OctalRuleset, int], int] = {}
+_heaps: list[tuple[OctalRuleset, int, RawMoves]] = []
+_heap_lock = threading.Lock()
 
 
-def _hid(rid: int, n: int) -> int:
-    """The heap id of a heap of n beans of ruleset `rid`, interned once."""
-    key = (rid, n)
+def _hid(rules: OctalRuleset, n: int) -> int:
+    """The heap id of a heap of n beans of `rules`, interned once."""
+    key = (rules, n)
     got = _hids.get(key)
     if got is not None:
         return got
-    with _rid_lock:
+    with _heap_lock:
         got = _hids.get(key)
         if got is None:
             got = len(_heaps)
-            _heaps.append((rid, n, _raw_moves(_rulesets[rid], n)))
+            _heaps.append((rules, n, _raw_moves(rules, n)))
             _hids[key] = got
         return got
 
@@ -161,6 +145,13 @@ def _as_size(n) -> int:
     return n
 
 
+def _as_rules(rules) -> OctalRuleset:
+    """`rules` if it is an OctalRuleset; anything else raises TypeError."""
+    if not isinstance(rules, OctalRuleset):
+        raise TypeError(f"expected an OctalRuleset, got {type(rules).__name__}")
+    return rules
+
+
 def heap_moves(rules: OctalRuleset, n: int) -> RawMoves:
     """Legal single-heap moves on a heap of n: (points, remaining heap sizes).
 
@@ -168,9 +159,10 @@ def heap_moves(rules: OctalRuleset, n: int) -> RawMoves:
     heap is gone.  Deterministic order: beans removed ascending, then the
     permitted shapes in bit order.
     """
+    _as_rules(rules)
     if _as_size(n) < 0:
         raise ValueError(f"heap size must be nonnegative: {n}")
-    return _heaps[_hid(_rid(rules), n)][2]
+    return _heaps[_hid(rules, n)][2]
 
 
 def _scaled_moves(scale: int) -> Moves:
@@ -186,10 +178,10 @@ def _scaled_moves(scale: int) -> Moves:
     def moves(hid: int) -> tuple:
         got = cache.get(hid)
         if got is None:
-            rid, _, raw = _heaps[hid]
+            rules, _, raw = _heaps[hid]
             got = []
             for p, rem in raw:
-                parts = (_hid(rid, m) for m in rem)
+                parts = (_hid(rules, m) for m in rem)
                 got.append((int(p * scale), tuple(h for h in parts if _heaps[h][2])))
             got = cache[hid] = tuple(got)
         return got
@@ -209,25 +201,27 @@ _gs_tables: dict[int, tuple[Moves, dict[Operator, tuple]]] = {}
 
 
 def _check_rules(op: Operator, rules: OctalRuleset) -> None:
-    """Reject a non-ruleset, and a splitting ruleset under `op` sequential."""
-    if not isinstance(rules, OctalRuleset):
-        raise TypeError(f"expected an OctalRuleset, got {type(rules).__name__}")
+    """Reject a non-operator, a non-ruleset, and a splitting ruleset under
+    `op` sequential."""
+    _check_op(op)
+    _as_rules(rules)
     if op is Operator.SEQUENTIAL and rules.can_split:
         raise ValueError(
             f"splitting ruleset {rules.notation()} has no sequential reading")
 
 
 def _prepare(op: Operator, position: Position) -> tuple[tuple, int]:
+    _check_op(op)
     heaps = []
-    rids = set()
+    rulesets = []       # a position holds few: a list finds them without hashing
     for rules, n in position:
-        _check_rules(op, rules)
+        if rules not in rulesets:
+            _check_rules(op, rules)
+            rulesets.append(rules)
         if _as_size(n) < 1:
             raise ValueError(f"heap sizes are positive: {n}")
-        rid = _rid(rules)
-        rids.add(rid)
-        heaps.append(_hid(rid, n))
-    scale = reduce(math.lcm, (p.denominator for rid in rids for p in _rulesets[rid].points), 1)
+        heaps.append(_hid(rules, n))
+    scale = reduce(math.lcm, (p.denominator for rules in rulesets for p in rules.points), 1)
     return _canonical(op, heaps), scale
 
 
@@ -269,18 +263,18 @@ def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
     if n < 0:
         raise ValueError(f"heap size must be nonnegative: {n}")
     _check_rules(op, rules)
-    return _heap_tree(op, _hid(_rid(rules), n))
+    return _heap_tree(op, _hid(rules, n))
 
 
 def _heap_tree(op: Operator, hid: int) -> GameId:
     key = (op, hid)
     got = _tree_memo.get(key)
     if got is None:
-        rid, _, raw = _heaps[hid]
+        rules, _, raw = _heaps[hid]
         lefts = []
         rights = []
         for p, rem in raw:
-            sub = _rem_tree(op, rid, rem)
+            sub = _rem_tree(op, rules, rem)
             lefts.append(shift(sub, p))
             rights.append(shift(sub, -p))
         got = make_game(lefts, 0, rights)
@@ -288,12 +282,12 @@ def _heap_tree(op: Operator, hid: int) -> GameId:
     return got
 
 
-def _rem_tree(op: Operator, rid: int, rem: tuple[int, ...]) -> GameId:
+def _rem_tree(op: Operator, rules: OctalRuleset, rem: tuple[int, ...]) -> GameId:
     if not rem:
         return number(0)
     if len(rem) == 1:
-        return _heap_tree(op, _hid(rid, rem[0]))
-    return sum_games(op, [_heap_tree(op, _hid(rid, m)) for m in rem])
+        return _heap_tree(op, _hid(rules, rem[0]))
+    return sum_games(op, [_heap_tree(op, _hid(rules, m)) for m in rem])
 
 
 def value_table(op: Operator, rules: OctalRuleset, n_max: int,
@@ -413,10 +407,10 @@ def compare_periods(rules: OctalRuleset, tail: Position = (), n_max: int = 200,
     the ruleset can split, since no sequential reading exists there.
     """
     tail = tuple(tail)
+    splitty = any(_as_rules(r).can_split for r, _ in ((rules, 0),) + tail)
     results = []
     found: list[Optional[PeriodReport]] = []
     for op in Operator:
-        splitty = rules.can_split or any(r.can_split for r, _ in tail)
         if op is Operator.SEQUENTIAL and splitty:
             results.append(OperatorPeriods(op, None, None,
                                            "splitting ruleset has no sequential reading"))

@@ -30,13 +30,11 @@ from .game import (GameId, _node, _postorder, _shift, as_score, is_leaf, left_op
 from .notation import format_game
 from .operators import Operator, eval_sum, sum_games
 
-_impartial_memo: dict[GameId, bool] = {}
-
 
 def is_impartial(g: GameId) -> bool:
     """Whether both players have mirrored options at every node."""
     _node(g)
-    return _postorder(g, _mirrored, _impartial_memo)
+    return _postorder(g, _mirrored, {})
 
 
 def _mirrored(left, s, right, memo) -> bool:

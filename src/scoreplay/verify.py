@@ -154,15 +154,14 @@ def check_sequential_identity(samples: int = 500, seed: int = 0) -> CheckResult:
                     f"{samples} games, scores exact on both sides of the join")
 
 
-def check_conjunctive_group(samples: int = 200, membership_games: int = 50,
-                            probes_per_game: int = 50, seed: int = 0) -> CheckResult:
+def check_conjunctive_group(samples: int = 200, seed: int = 0) -> CheckResult:
     """Score reversal inverts single-line impartial games conjunctively.
 
     The generated games have one option per side at every node, so play
     is a forced line and reversing the scores inverts that line exactly:
     the pair g with reverse(g) ties, and because the pair offers no
     choices it acts as an identity on arbitrary impartial probes, which
-    here branch freely.
+    here branch freely: the first 50 pairs each face 50 probes.
     """
     params = ImpartialParams(max_depth=4, max_branch=1, seed=seed)
     rng = random.Random(seed)
@@ -172,21 +171,23 @@ def check_conjunctive_group(samples: int = 200, membership_games: int = 50,
         pair = eval_sum(Operator.CONJUNCTIVE, [g, reverse(g)])
         if outcome_of_scores(pair) is not Outcome.TIE:
             failures.append(f"game {idx}: pair scored {pair}, not a tie")
-    for idx, g in enumerate(games[:membership_games]):
+    for idx, g in enumerate(games[:50]):
         combined = sum_games(Operator.CONJUNCTIVE, [g, reverse(g)])
         probe_params = ImpartialParams(max_depth=3, max_branch=2, seed=seed + idx + 1)
         report = identity_test(combined, Operator.CONJUNCTIVE,
-                               samples=probes_per_game, params=probe_params)
+                               samples=50, params=probe_params)
         if not report.all_passed:
             cex = format_game(report.first_counterexample)
             failures.append(f"game {idx}: pair changed the outcome of probe {cex}")
     return _verdict(
         "conjunctive-reversal-group", failures,
-        f"{samples} ties, {membership_games}x{probes_per_game} identity probes clean")
+        f"{samples} ties, 50x50 identity probes clean")
 
 
-def check_conjunctive_additivity(pair_max: int = 30) -> CheckResult:
-    """Heap values add across conjunctive pairs: value{n,m} = value{n} + value{m}."""
+def check_conjunctive_additivity() -> CheckResult:
+    """Heap values add across conjunctive pairs: value{n,m} = value{n} + value{m},
+    for every pair of heaps of at most 30 beans."""
+    pair_max = 30
     failures: list[str] = []
     pairs = 0
     for rules in BATTERY:
@@ -204,8 +205,10 @@ def check_conjunctive_additivity(pair_max: int = 30) -> CheckResult:
                     f"{pairs} pairs over {len(BATTERY)} rulesets, all additive")
 
 
-def check_selective_additivity(heap_max: int = 20, max_heaps: int = 3) -> CheckResult:
-    """Where single-heap values stay nonnegative, selective sums add up."""
+def check_selective_additivity() -> CheckResult:
+    """Where single-heap values stay nonnegative, selective sums add up:
+    every multiset of 2 or 3 heaps of at most 20 beans is checked."""
+    heap_max = 20
     failures: list[str] = []
     counted = 0
     covered = 0
@@ -215,7 +218,7 @@ def check_selective_additivity(heap_max: int = 20, max_heaps: int = 3) -> CheckR
         if any(v < 0 for v in singles):
             continue
         covered += 1
-        for k in range(2, max_heaps + 1):
+        for k in (2, 3):
             for sizes in combinations_with_replacement(range(1, heap_max + 1), k):
                 counted += 1
                 got = grundy_value(Operator.SELECTIVE, [(rules, n) for n in sizes])
@@ -247,15 +250,16 @@ def _compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def check_tree_oracle(bean_max: int = 12) -> CheckResult:
+def check_tree_oracle() -> CheckResult:
     """Heap values agree with the explicit game trees, operator by operator.
 
-    Every multiset of heaps totalling at most `bean_max` beans is scored
+    Every multiset of heaps totalling at most 12 beans is scored
     twice: once by the heap recursion, once by materializing each heap as
     a game tree and composing the trees with the operator.  The sequential
     operator runs over ordered sequences instead and skips rulesets that
     can split a heap, which have no sequential reading.
     """
+    bean_max = 12
     failures: list[str] = []
     counted = 0
     for rules in BATTERY:
@@ -327,13 +331,15 @@ def check_notation_roundtrip(samples: int = 1000, seed: int = 0) -> CheckResult:
                     f"{samples} games re-parsed to the identical node")
 
 
-def check_period_anchor(n_max: int = 200, min_confirm: int = 10) -> CheckResult:
+def check_period_anchor() -> CheckResult:
     """The take-2 ruleset's table repeats 0,1,2,1 from the start.
 
     Detection must report preperiod 0 and period 4 on the disjunctive
-    table, the degenerate inputs must behave, and the cross-operator
-    report for the same ruleset must agree on the period.
+    table of heaps up to 200, with 10 confirmations at least, the
+    degenerate inputs must behave, and the cross-operator report for the
+    same ruleset must agree on the period.
     """
+    n_max, min_confirm = 200, 10
     rules = BATTERY[0]
     failures: list[str] = []
     table = value_table(Operator.DISJUNCTIVE, rules, n_max)

@@ -46,28 +46,27 @@ def test_c03_sequential_identity_game():
 
 def test_c04_conjunctive_reversal_group_evidence():
     _run(4, "conjunctive reversal ties + identity membership, 200 games", 60,
-         lambda: check_conjunctive_group(samples=200, membership_games=50,
-                                         probes_per_game=50))
+         lambda: check_conjunctive_group(samples=200))
 
 
 def test_c05_conjunctive_heap_additivity():
     _run(5, "conjunctive heap additivity, all pairs to 30, 5 rulesets", 60,
-         lambda: check_conjunctive_additivity(pair_max=30))
+         check_conjunctive_additivity)
 
 
 def test_c06_selective_heap_additivity():
     _run(6, "selective heap additivity, multisets of 3 heaps to 20", 60,
-         lambda: check_selective_additivity(heap_max=20, max_heaps=3))
+         check_selective_additivity)
 
 
 def test_c07_heap_tree_oracle_equivalence():
     _run(7, "heap recursion vs materialized trees, 12 beans, 4 operators",
-         120, lambda: check_tree_oracle(bean_max=12))
+         120, check_tree_oracle)
 
 
 def test_c08_period_detection_and_battery_reports():
     def battery_reports():
-        start = check_period_anchor(n_max=200, min_confirm=10)
+        start = check_period_anchor()
         if not start.passed:
             return start
         for rules in BATTERY:

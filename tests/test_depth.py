@@ -1,16 +1,22 @@
 """Whole-tree walks at any depth: no entry point is bounded by the call stack.
 
 Each expected value comes from a loop over the levels of the line in the
-test itself, never from the walk under test.
+test itself, never from the walk under test.  The heap evaluator still
+recurses once per ply; its last test guards how many frames a ply costs.
 """
 
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 
+import scoreplay
 from scoreplay import (FinalScores, Operator, conjunctive_inverse, eval_sum,
                        final_scores, format_game, is_impartial, make_game,
                        max_score_magnitude, negate, number, parse_game, reverse,
@@ -81,6 +87,15 @@ def _final_scores(depth):
     return final_scores(_line(depth)), FinalScores(sl, sr)
 
 
+def _sequential_eval_sum(depth):
+    # joined before {1|0|-1}, a side leaf x plays on as that game shifted
+    # by x: Left to move ends it at x + 1, Right to move at x - 1
+    sl, sr = _fold_line(depth, (BOTTOM + 1, BOTTOM - 1),
+                        lambda i, fs, s, x: (fs[1], x + 1) if i % 2 == 0 else (x - 1, fs[0]))
+    tail = make_game([number(1)], 0, [number(-1)])
+    return eval_sum(Operator.SEQUENTIAL, [_line(depth), tail]), FinalScores(sl, sr)
+
+
 def _magnitude(depth):
     largest = max(abs(v) for i in range(depth) for v in _level(i))
     return max_score_magnitude(_line(depth)), max(largest, BOTTOM)
@@ -99,6 +114,7 @@ CASES = {
     # joining a leaf after the line shifts the line by the leaf's score
     "sequential_sum": lambda d: (sum_games(Operator.SEQUENTIAL, [_line(d), number(5)]),
                                  _build(d, lambda v: v + 5)),
+    "sequential_eval_sum": _sequential_eval_sum,
 }
 
 
@@ -146,3 +162,19 @@ def test_walks_visit_a_shared_node_once():
         assert negate(ladder) == _ladder(10 ** 4, -1)
     with _deadline(1.0):
         assert is_impartial(ladder)
+
+
+def test_cold_heap_value_at_300_plies_finishes():
+    # a cold heap_value(0.33:1,2, n) plays n plies deep at about 3 stack
+    # levels a ply, so it fails from about n = 330 under the default
+    # recursion limit of 1000; one more level a ply fails here
+    values = [0]
+    for n in range(1, 301):
+        values.append(max(p - values[n - p] for p in (1, 2) if p <= n))
+    code = ("from scoreplay import heap_value, parse_octal; "
+            "print(heap_value(parse_octal('0.33:1,2'), 300))")
+    env = dict(os.environ, PYTHONPATH=str(Path(scoreplay.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{values[300]}\n"

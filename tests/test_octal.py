@@ -156,47 +156,17 @@ def test_commutative_values_ignore_heap_order(op, data):
     assert grundy_value(op, shuffled) == grundy_value(op, pos)
 
 
-def test_ruleset_interning_is_thread_safe():
-    # a lost race gives one ruleset two ids, or one id to two rulesets;
-    # each round interns 200 fresh rulesets from 4 threads at once
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for round_ in range(10):
-            fresh = [OctalRuleset((3, 3), (F(k, 7919), F(round_ + 3)))
-                     for k in range(1, 201)]
-            assert not any(r in octal._rids for r in fresh)
-            start = threading.Barrier(4)
-            seen: list = [None] * 4
-
-            def intern(t):
-                start.wait()
-                seen[t] = [octal._rid(r) for r in fresh]
-
-            threads = [threading.Thread(target=intern, args=(t,)) for t in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=30)
-            assert not any(th.is_alive() for th in threads)
-            assert seen[0] is not None and all(ids == seen[0] for ids in seen)
-            assert len(set(seen[0])) == len(fresh)
-            for r, rid in zip(fresh, seen[0]):
-                assert octal._rulesets[rid] == r
-                assert octal._rids[r] == rid
-    finally:
-        sys.setswitchinterval(old_interval)
-
-
 def test_heap_interning_is_thread_safe():
     # a lost race gives one heap two ids, or one id to two heaps; each
-    # round interns 200 fresh heaps of a fresh ruleset from 4 threads at once
+    # round interns 200 fresh heaps of a fresh ruleset from 4 threads at
+    # once, each thread holding its own equal but distinct ruleset object
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(10):
-            rid = octal._rid(OctalRuleset((3, 7), (F(round_ + 1, 7907), F(1))))
-            fresh = [(rid, n) for n in range(1, 201)]
+            copies = [OctalRuleset((3, 7), (F(round_ + 1, 7907), F(1))) for _ in range(4)]
+            assert all(r == copies[0] and r is not copies[0] for r in copies[1:])
+            fresh = [(copies[0], n) for n in range(1, 201)]
             assert not any(h in octal._hids for h in fresh)
             stored = len(octal._heaps)
             start = threading.Barrier(4)
@@ -204,7 +174,7 @@ def test_heap_interning_is_thread_safe():
 
             def intern(t):
                 start.wait()
-                seen[t] = [octal._hid(*h) for h in fresh]
+                seen[t] = [octal._hid(copies[t], n) for _, n in fresh]
 
             threads = [threading.Thread(target=intern, args=(t,)) for t in range(4)]
             for th in threads:
@@ -229,6 +199,35 @@ def test_grundy_value_input_checks():
         grundy_value(Operator.DISJUNCTIVE, [("0.33", 2)])
     with pytest.raises(ValueError):
         grundy_value(Operator.SEQUENTIAL, [(R007, 4)])
+
+
+#: every public entry point that takes an operator or a ruleset, handed a
+#: bad one: an operator's name is not an operator, a ruleset's text not a ruleset
+BAD_INPUTS = {
+    "grundy_value/op": lambda: grundy_value("disjunctive", [(R007, 5), (R007, 7)]),
+    "grundy_value/sequential": lambda: grundy_value("sequential", [(R007, 5)]),
+    "grundy_value/empty": lambda: grundy_value("disjunctive", []),
+    "grundy_value/rules": lambda: grundy_value(Operator.DISJUNCTIVE, [("0.33", 2)]),
+    "heap_value/op": lambda: heap_value(R33, 3, "disjunctive"),
+    "heap_value/rules": lambda: heap_value("0.33", 3),
+    "value_table/op": lambda: value_table("disjunctive", R33, 3),
+    "value_table/rules": lambda: value_table(Operator.DISJUNCTIVE, "0.33", 3),
+    "heap_game/op": lambda: heap_game(R33, 3, "disjunctive"),
+    "heap_game/rules": lambda: heap_game("0.33", 3),
+    "heap_moves/rules": lambda: heap_moves("0.33", 3),
+    "compare_periods/rules": lambda: compare_periods("0.33", n_max=3),
+    "compare_periods/tail": lambda: compare_periods(R33, [("0.33", 1)], n_max=3),
+    "sum_games/op": lambda: sum_games("disjunctive", [number(1), number(2)]),
+    "eval_sum/op": lambda: eval_sum("sequential", [number(1), number(2)]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_entry_points_reject_a_bad_operator_or_ruleset(name):
+    stored = len(octal._heaps)
+    with pytest.raises(TypeError):
+        BAD_INPUTS[name]()
+    assert len(octal._heaps) == stored      # nothing was interned on the way
 
 
 def test_rational_points_stay_exact():
@@ -265,13 +264,13 @@ def test_sequential_split_rejected_at_every_size():
             call()
 
 
-def test_equal_rulesets_share_one_rid():
-    # default points spelled out or left implicit: one ruleset, one hash, one rid
+def test_equal_rulesets_share_one_heap_id():
+    # default points spelled out or left implicit: one ruleset, one hash, one heap id
     implicit, explicit = OctalRuleset((3, 3)), OctalRuleset((3, 3), (1, 2))
     assert implicit == explicit
     assert hash(implicit) == hash(explicit)
-    assert octal._rid(implicit) == octal._rid(explicit)
-    assert octal._rid(OctalRuleset((3, 3), (2, 1))) != octal._rid(implicit)
+    assert octal._hid(implicit, 5) == octal._hid(explicit, 5)
+    assert octal._hid(OctalRuleset((3, 3), (2, 1)), 5) != octal._hid(implicit, 5)
 
 
 @pytest.mark.parametrize("op", list(Operator))

@@ -249,7 +249,7 @@ def assert_successors_match_naive(op, state, moves):
 def heap_states(op):
     """Canonical states of 1-3 heaps of `0.007:0,0,1` and `0.33:1/3,1/2`,
     runs of 2-3 equal heaps included; sequential states in every order."""
-    heaps = [octal._hid(octal._rid(r), n)
+    heaps = [octal._hid(r, n)
              for r, sizes in ((parse_octal("0.007:0,0,1"), (3, 4, 6, 7)),
                               (parse_octal("0.33:1/3,1/2"), (1, 2, 4)))
              for n in sizes]
