@@ -331,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed for the randomized checks (default 0)")
     p_ver.add_argument("--samples", type=int, default=None, metavar="N",
                        help="override the sample count of every randomized "
-                            "check (default: each check's own count)")
+                            "check, at least 1 (default: each check's own count)")
     p_ver.add_argument("--only", action="append", metavar="NAME",
                        help="run only checks whose name contains NAME "
                             "(repeatable)")

@@ -4,9 +4,9 @@ An octal ruleset is a digit string d1 d2 ... dk with a rational point
 award p_i for removing exactly i beans.  Digit bits say what may remain
 of the heap after removing i beans: bit 0 permits taking a whole heap
 (nothing remains), bit 1 permits leaving one nonempty heap, bit 2 permits
-splitting the rest into two nonempty heaps.  Zero-size heaps are never
-stored; a heap no rule applies to is dead weight and is dropped from
-positions, since nobody can ever touch it.
+splitting the rest into two nonempty heaps.  A heap of size zero, like
+any heap no rule applies to, is dead weight and vanishes from positions,
+since nobody can ever touch it.
 
 `grundy_value(op, position)` is the mover-relative value of a position
 under one of the four sum operators: the best, over the legal combined
@@ -16,15 +16,17 @@ move, is worth 0.  Under the sequential operator positions are ordered
 and only the first live heap may be played; splitting rulesets are
 rejected there because a split has no sequential reading.
 
-Values are computed by `operators._negamax`, which tree sums share, in
-integer arithmetic scaled by the common denominator of the point awards;
-results are exact Fractions.  Heaps are interned too: one heap store,
-keyed on the ruleset object itself and the size, gives each (ruleset,
-size) pair a small int heap id once, and holds the ruleset, the size and
-the heap's raw moves, computed at insertion.  A state of the recursion
-is a tuple of heap ids, sorted for the commutative operators, so it hashes
-and compares as a flat tuple of ints, as a state of interned game ids
-does.  Heap sizes must be ints; nothing is truncated into another heap.
+Values are computed by `_negamax` over the combined moves that
+`operators._successors` lists, in integer arithmetic scaled by the common
+denominator of the point awards; results are exact Fractions.  Both
+players have the same moves in a heap position, so one memo per operator
+and scale holds the value of a state to whoever is to move.  Heaps are
+interned too: one heap store, keyed on the ruleset object itself and the
+size, gives each (ruleset, size) pair a small int heap id once, and holds
+the ruleset, the size and the heap's raw moves, computed at insertion.
+A state of the recursion is a tuple of heap ids, sorted for the
+commutative operators, so it hashes and compares as a flat tuple of ints,
+as a state of interned game ids does.  Heap sizes must be ints; nothing is truncated into another heap.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .game import GameId, as_score, number, make_game, shift
-from .operators import Moves, Operator, _check_op, _negamax, sum_games
+from .operators import Moves, Operator, _check_op, _successors, sum_games
 
 
 def default_points(digits: Sequence[int]) -> tuple[Fraction, ...]:
@@ -195,9 +197,9 @@ def _canonical(op: Operator, hids: Sequence[int]) -> tuple[int, ...]:
     return tuple(live)
 
 
-#: scale -> (scaled moves, {op: the heap's `operators._negamax` side}): the
-#: operators share one copy of the moves, and no per-state key carries the operator
-_gs_tables: dict[int, tuple[Moves, dict[Operator, tuple]]] = {}
+#: scale -> (scaled moves, {op: (memo, groups) of `_negamax`}): the operators
+#: share one copy of the moves, and no per-state key carries the operator
+_gs_tables: dict[int, tuple[Moves, dict[Operator, tuple[dict, dict]]]] = {}
 
 
 def _check_rules(op: Operator, rules: OctalRuleset) -> None:
@@ -218,27 +220,40 @@ def _prepare(op: Operator, position: Position) -> tuple[tuple, int]:
         if rules not in rulesets:
             _check_rules(op, rules)
             rulesets.append(rules)
-        if _as_size(n) < 1:
-            raise ValueError(f"heap sizes are positive: {n}")
+        if _as_size(n) < 0:
+            raise ValueError(f"heap sizes are nonnegative: {n}")
         heaps.append(_hid(rules, n))
     scale = reduce(math.lcm, (p.denominator for rules in rulesets for p in rules.points), 1)
     return _canonical(op, heaps), scale
+
+
+def _negamax(op: Operator, state: tuple, moves: Moves, memo: dict, groups: dict) -> int:
+    """Value of `state` to the player to move: their best points minus the
+    successor's value to the opponent, or 0 with no move.  `memo` and
+    `groups` belong to `op` and `moves`.  One frame and one generator frame
+    per ply."""
+    if not state:
+        return 0
+    val = memo.get(state)
+    if val is None:
+        known = memo.get    # a successor's memo hit costs no call
+        val = max((pts - (v if (v := known(succ)) is not None else _negamax(op, succ, moves, memo, groups))
+                   for succ, pts in _successors(op, state, moves, groups)), default=0)
+        memo[state] = val
+    return val
 
 
 def grundy_value(op: Operator, position: Position) -> Fraction:
     """Mover-relative value of a heap position under `op`."""
     state, scale = _prepare(op, position)
     # setdefault only on a miss: its default would be built on every call
-    moves, sides = _gs_tables.get(scale) or _gs_tables.setdefault(scale, (_scaled_moves(scale), {}))
-    side = sides.get(op) or sides.setdefault(op, (moves, {}, {}, None))
-    return Fraction(_negamax(op, state, side, side), scale)
+    moves, memos = _gs_tables.get(scale) or _gs_tables.setdefault(scale, (_scaled_moves(scale), {}))
+    memo, groups = memos.get(op) or memos.setdefault(op, ({}, {}))
+    return Fraction(_negamax(op, state, moves, memo, groups), scale)
 
 
 def heap_value(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE) -> Fraction:
     """Value of the single heap {n}; n = 0 is the empty position."""
-    _check_rules(op, rules)
-    if _as_size(n) == 0:
-        return Fraction(0)
     return grundy_value(op, [(rules, n)])
 
 
@@ -301,11 +316,7 @@ def value_table(op: Operator, rules: OctalRuleset, n_max: int,
     if _as_size(n_max) < 0:
         raise ValueError("n_max must be nonnegative")
     tail = tuple(tail)
-    out = []
-    for n in range(n_max + 1):
-        heaps = ((rules, n),) + tail if n else tail
-        out.append(grundy_value(op, heaps) if heaps else Fraction(0))
-    return out
+    return [grundy_value(op, ((rules, n),) + tail) for n in range(n_max + 1)]
 
 
 @dataclass(frozen=True)

@@ -17,22 +17,20 @@ the player to move must touch:
 Composite scores are the sum of component scores at every node, so play
 ending at any point pays out the sum of wherever each component stopped.
 
-`sum_games` materializes the composite as an ordinary interned tree;
-`eval_sum` computes its final scores directly on multisets of component
-ids without building the tree.  The two must agree exactly, and the test
-suite holds them to that.  `_successors` is the one place that knows the
-four move rules, and `_negamax` the one evaluator of optimal play on
-states, for heap positions (`octal.grundy_value`) and commutative tree
-sums alike.  A sequential `eval_sum` needs no states: it folds the
-components from the last to the first, each one a walk of its own tree.
+`sum_games` materializes the composite as an ordinary interned tree,
+and `eval_sum` reads its final scores, so a tree sum has one code path.
+`_successors` is the one place that knows the four move rules: the
+commutative composites expand by it, and so do heap positions in
+`octal.grundy_value`.  The sequential composite is a chain of binary
+joins, each a fold over the head's tree, so a component of any depth sums.
 
-Both sort the components once, at the public call; successor states
-come back sorted, so the recursion never sorts again.  The composite
-memo keys on that raw sorted state, leaves included, so each successor
-edge of a tree sum costs one int-keyed lookup.  Leaves are folded only
-on a miss.  A sum of one game is that game, shifted by the leaves beside
-it, under every operator: `_composite` returns it, and the tree sides of
-`_negamax` read its final scores instead of expanding it.
+A commutative sum sorts its components once, at the public call;
+successor states come back sorted, so the recursion never sorts again.
+The composite memo keys on that raw sorted state, leaves included, so
+each successor edge of a tree sum costs one int-keyed lookup.  Leaves are
+folded only on a miss.  A sum of one game is that game, shifted by the
+leaves beside it, under every operator: `_composite` returns it without
+expanding it, so a lone component of any depth sums too.
 """
 
 from __future__ import annotations
@@ -79,8 +77,8 @@ def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> list[
     interned game ids or interned heap ids (`octal._hid`), so a state
     hashes, compares and sorts as a flat tuple of ints.  `moves(c)` lists
     the mover's options in component c as (points, parts) pairs: `parts`
-    replace c, and `points`, the mover's gain, are ints for heaps and
-    stored-score differences for trees.  `groups` caches the choices of
+    replace c, and `points`, the mover's gain, are scaled ints for heaps
+    and 0 for trees, whose nodes carry their scores.  `groups` caches the choices of
     each run of equal components by (component, count); share it only
     between calls with the same `op` and `moves`.
     """
@@ -246,86 +244,7 @@ def sum_games(op: Operator, games: Iterable[GameId]) -> GameId:
     return _composite(op, state, _build_memo[op])
 
 
-def _negamax(op: Operator, state: tuple, mover: tuple, other: tuple) -> Raw:
-    """Value of `state` to `mover`, with `other` to move next: the mover's
-    best points minus the successor's value to `other`, or 0 with no move.
-    A side is (moves, memo, groups, alone); `alone(c)`, unless None, values
-    (c,) without expanding it.  One frame and one generator frame per ply."""
-    if not state:
-        return 0
-    val = mover[1].get(state)
-    if val is None:
-        moves, memo, groups, alone = mover
-        if alone is not None and len(state) == 1:
-            return alone(state[0])
-        known = other[1].get    # a successor's memo hit costs no call
-        val = max((pts - (v if (v := known(succ)) is not None else _negamax(op, succ, other, mover))
-                   for succ, pts in _successors(op, state, moves, groups)), default=0)
-        memo[state] = val
-    return val
-
-
-def _tree_side(left: bool) -> tuple:
-    """Left's or Right's side of `_negamax` on tree states: a move from g
-    to o scores s(o) - s(g) for Left and s(g) - s(o) for Right, and an
-    option-less o drops out, as a dead heap does.  A lone component is
-    valued from its final scores, so at any depth."""
-    pick = 0 if left else 2
-
-    def moves(g: GameId) -> list[tuple[Raw, tuple[GameId, ...]]]:
-        s = _nodes[g][1]
-        out = []
-        for o in _nodes[g][pick]:
-            lo, so, ro = _nodes[o]
-            out.append((so - s if left else s - so, (o,) if lo or ro else ()))
-        return out
-
-    def alone(g: GameId) -> Raw:
-        return _scores(g).sl - _nodes[g][1] if left else _nodes[g][1] - _scores(g).sr
-    return moves, {}, {}, alone
-
-
-#: commutative op -> (Left's side, Right's side), their memos keyed on
-#: states without leaves
-_TREE_SIDES = {op: (_tree_side(True), _tree_side(False))
-               for op in Operator if op is not Operator.SEQUENTIAL}
-
-
-def _seq_scores(state: tuple[GameId, ...]) -> tuple[Raw, Raw]:
-    """Final scores of the sequential sum of `state`, in stored form.
-
-    Folds right to left, carrying the tail's final scores and root score
-    r.  Joined before the tail, a leaf of g scoring s plays as the tail
-    shifted by s, and any other node scores s + r: its mover takes the
-    best option, and a mover without one ends play there.  The walk keeps
-    plain pairs, not `FinalScores`: building those made it 30 % slower.
-    """
-    sl, sr = _scores(state[-1])
-    r = _nodes[state[-1]][1]
-    for g in reversed(state[:-1]):
-        def join(left, s, right, memo):
-            if not left and not right:
-                return s + sl, s + sr
-            s += r
-            return (max([memo[x][1] for x in left]) if left else s,
-                    min([memo[x][0] for x in right]) if right else s)
-        sl, sr = _postorder(g, join, {})
-        r += _nodes[g][1]
-    return sl, sr
-
-
 def eval_sum(op: Operator, games: Iterable[GameId]) -> FinalScores:
-    """Final scores of the composite, computed without materializing it;
-    they agree exactly with final_scores(sum_games(op, games))."""
-    state = _state(op, games)
-    if op is Operator.SEQUENTIAL:
-        sl, sr = _seq_scores(state)
-        return FinalScores(_public(sl), _public(sr))
-    folded, core = _fold_leaves(state)
-    total = folded + sum(_nodes[g][1] for g in core)
-    left, right = _TREE_SIDES[op]
-    # the group caches last one call: kept, they grow for the life of the process
-    left[2].clear()
-    right[2].clear()
-    return FinalScores(_public(total + _negamax(op, core, left, right)),
-                       _public(total - _negamax(op, core, right, left)))
+    """Final scores of the composite: final_scores(sum_games(op, games))."""
+    sl, sr = _scores(sum_games(op, games))
+    return FinalScores(_public(sl), _public(sr))

@@ -181,7 +181,7 @@ def check_conjunctive_group(samples: int = 200, seed: int = 0) -> CheckResult:
             failures.append(f"game {idx}: pair changed the outcome of probe {cex}")
     return _verdict(
         "conjunctive-reversal-group", failures,
-        f"{samples} ties, 50x50 identity probes clean")
+        f"{samples} ties, {min(samples, 50)}x50 identity probes clean")
 
 
 def check_conjunctive_additivity() -> CheckResult:
@@ -412,8 +412,10 @@ def run_checks(seed: int = 0, samples: Optional[int] = None,
 
     `only` restricts the run to checks whose name contains one of the
     given substrings; an empty selection is a ValueError so a typo cannot
-    masquerade as a green run.
+    masquerade as a green run.  So is `samples` below 1.
     """
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     picked = [(name, func, randomized) for name, func, randomized in _CHECKS
               if only is None or any(pat in name for pat in only)]
     if not picked:

@@ -242,6 +242,14 @@ def test_verify_unknown_filter_exits_2(capsys):
     assert "known checks" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_samples_below_one_exits_2(capsys, samples):
+    code, out, err = run(capsys, "verify-paper", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err == f"scoreplay: error: samples must be at least 1, got {samples}\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 2

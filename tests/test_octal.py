@@ -193,8 +193,10 @@ def test_heap_interning_is_thread_safe():
 
 
 def test_grundy_value_input_checks():
+    for op in Operator:
+        assert grundy_value(op, [(R33, 0), (R33, 2)]) == grundy_value(op, [(R33, 2)])
     with pytest.raises(ValueError):
-        grundy_value(Operator.DISJUNCTIVE, [(R33, 0)])
+        grundy_value(Operator.DISJUNCTIVE, [(R33, -1)])
     with pytest.raises(TypeError):
         grundy_value(Operator.DISJUNCTIVE, [("0.33", 2)])
     with pytest.raises(ValueError):

@@ -133,8 +133,9 @@ def test_root_score_is_additive():
 @given(st.sampled_from(OPS),
        st.lists(small_games_st, min_size=1, max_size=3))
 @settings(max_examples=150, deadline=None)
-def test_eval_sum_matches_materialized_tree(op, comps):
-    assert eval_sum(op, comps) == final_scores(sum_games(op, comps))
+def test_materialized_tree_matches_brute_force_oracle(op, comps):
+    fs = final_scores(sum_games(op, comps))
+    assert (fs.sl, fs.sr) == naive_sum_scores(op, [as_tuple(g) for g in comps])
 
 
 @given(st.sampled_from(OPS),
