@@ -30,8 +30,8 @@ from .evaluate import final_scores, outcome_of_scores
 from .game import GameId
 from .notation import (NotationError, format_game, format_score, parse_game,
                        parse_game_lines, parse_octal)
-from .octal import (OctalRuleset, _frac_json, compare_periods, find_period,
-                    value_table)
+from .octal import (OctalRuleset, _check_min_confirm, _frac_json, compare_periods,
+                    find_period, value_table)
 from .operators import Operator, eval_sum
 from .verify import run_checks
 
@@ -154,6 +154,7 @@ def _period_phrase(report) -> str:
 
 
 def cmd_gs(args) -> int:
+    _check_min_confirm(args.min_confirm)
     tail = tuple((args.rules, n) for n in args.tail)
     table = value_table(args.op, args.rules, args.n_max, tail)
     period = find_period(table, args.min_confirm)

@@ -20,9 +20,9 @@ intern through `_make`, which takes option ids that are unique and
 sorted as ints and checks nothing.
 
 Whole-tree walks (final scores, negate, reverse, shift, magnitudes, the
-sequential join, impartiality) share one post-order fold, `_postorder`.
-It walks the DAG on an explicit stack, so any depth works, and computes
-each node's value once, from its options' values, into the walk's memo.
+sequential join, impartiality) and the builds over states (commutative
+sums, heap trees) share one post-order fold on an explicit stack,
+`_postorder`: any depth works, and each key is computed once, into a memo.
 Negate and shift keep their memos across calls, which later calls reuse;
 reverse and magnitudes fold into a dict of their own per call.  The
 shift memo is nested by amount, `_shift_memo[amount][g]`.
@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 GameId = int
 Score = Fraction
@@ -190,28 +190,32 @@ _negate_memo: dict[GameId, GameId] = {}
 _shift_memo: dict[Raw, dict[GameId, GameId]] = {}
 
 
-def _postorder(g: GameId, combine: Callable[[tuple, Raw, tuple, dict], object], memo: dict):
-    """Fold the DAG below the known id `g` bottom up, on an explicit stack.
+def _options(g: GameId) -> tuple[_Node, Iterator[GameId]]:
+    node = _nodes[g]
+    return node, iter(node[0] + node[2])
 
-    A node missing from `memo` gets `memo[node] = combine(left, s, right, memo)`
-    once its options have entries; no value may be None.  Returns `memo[g]`.
+
+def _postorder(key, combine: Callable[..., object], memo: dict, expand=_options):
+    """Fold the DAG below `key` bottom up, on an explicit stack.
+
+    `expand(key)` gives (args, an iterator over its children), by default a
+    node's fields and options.  A key missing from `memo` gets `memo[key] =
+    combine(*args, memo)` once its children have entries; no value may be None.
     """
-    got = memo.get(g)
+    got = memo.get(key)
     if got is not None:
         return got
-    node = _nodes[g]
-    stack = [(g, node, iter(node[0] + node[2]))]
+    stack = [(key, *expand(key))]
     while stack:
-        g, node, todo = stack[-1]
+        key, args, todo = stack[-1]
         for x in todo:
             if x not in memo:
-                child = _nodes[x]
-                stack.append((x, child, iter(child[0] + child[2])))
+                stack.append((x, *expand(x)))
                 break
         else:
             stack.pop()
-            memo[g] = combine(*node, memo)
-    return memo[g]
+            memo[key] = combine(*args, memo)
+    return memo[key]
 
 
 def _mapped(options: tuple[GameId, ...], memo: dict[GameId, GameId]) -> tuple[GameId, ...]:

@@ -24,9 +24,11 @@ and scale holds the value of a state to whoever is to move.  Heaps are
 interned too: one heap store, keyed on the ruleset object itself and the
 size, gives each (ruleset, size) pair a small int heap id once, and holds
 the ruleset, the size and the heap's raw moves, computed at insertion.
-A state of the recursion is a tuple of heap ids, sorted for the
-commutative operators, so it hashes and compares as a flat tuple of ints,
-as a state of interned game ids does.  Heap sizes must be ints; nothing is truncated into another heap.
+A state is a tuple of heap ids, sorted for the commutative operators, so
+it hashes and compares as a flat tuple of ints, as a state of interned
+game ids does.  `_negamax` is the engine's last recursion, a frame a ply;
+`heap_game` folds heap ids by `game._postorder`, so its trees build at
+any depth.  Heap sizes must be ints; nothing is truncated into another heap.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .game import GameId, as_score, number, make_game, shift
+from .game import GameId, _postorder, as_score, number, make_game, shift
 from .operators import Moves, Operator, _check_op, _successors, sum_games
 
 
@@ -278,31 +280,25 @@ def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
     if n < 0:
         raise ValueError(f"heap size must be nonnegative: {n}")
     _check_rules(op, rules)
-    return _heap_tree(op, _hid(rules, n))
+    return _postorder((op, _hid(rules, n)), _heap_tree, _tree_memo, _heap_parts)
 
 
-def _heap_tree(op: Operator, hid: int) -> GameId:
-    key = (op, hid)
-    got = _tree_memo.get(key)
-    if got is None:
-        rules, _, raw = _heaps[hid]
-        lefts = []
-        rights = []
-        for p, rem in raw:
-            sub = _rem_tree(op, rules, rem)
-            lefts.append(shift(sub, p))
-            rights.append(shift(sub, -p))
-        got = make_game(lefts, 0, rights)
-        _tree_memo[key] = got
-    return got
+def _heap_parts(key: tuple[Operator, int]) -> tuple[tuple, Iterator]:
+    """Heap `key` = (op, heap id) as `heap_game` folds it: its moves, and their parts."""
+    op, hid = key
+    rules, _, raw = _heaps[hid]
+    moves = [(p, [(op, _hid(rules, m)) for m in rem]) for p, rem in raw]
+    return (op, moves), (part for _, parts in moves for part in parts)
 
 
-def _rem_tree(op: Operator, rules: OctalRuleset, rem: tuple[int, ...]) -> GameId:
-    if not rem:
-        return number(0)
-    if len(rem) == 1:
-        return _heap_tree(op, _hid(rules, rem[0]))
-    return sum_games(op, [_heap_tree(op, _hid(rules, m)) for m in rem])
+def _heap_tree(op: Operator, moves: list, memo: dict) -> GameId:
+    lefts, rights = [], []
+    for p, parts in moves:
+        sub = (number(0) if not parts else memo[parts[0]] if len(parts) == 1
+               else sum_games(op, [memo[part] for part in parts]))
+        lefts.append(shift(sub, p))
+        rights.append(shift(sub, -p))
+    return make_game(lefts, 0, rights)
 
 
 def value_table(op: Operator, rules: OctalRuleset, n_max: int,
@@ -330,6 +326,12 @@ class PeriodReport:
                 "confirmations": self.confirmations}
 
 
+def _check_min_confirm(min_confirm: int) -> None:
+    """Reject a `min_confirm` below 1, before any table is built for it."""
+    if min_confirm < 1:
+        raise ValueError("min_confirm must be at least 1")
+
+
 def find_period(values: Sequence, min_confirm: int = 10) -> Optional[PeriodReport]:
     """Smallest eventual repetition in `values`, if the data supports one.
 
@@ -338,8 +340,7 @@ def find_period(values: Sequence, min_confirm: int = 10) -> Optional[PeriodRepor
     the end of the table, with at least `min_confirm` indices checked.
     None when no repetition is confirmed, e.g. on strictly growing data.
     """
-    if min_confirm < 1:
-        raise ValueError("min_confirm must be at least 1")
+    _check_min_confirm(min_confirm)
     vals = list(values)
     total = len(vals)
     for p in range(1, total):
@@ -417,6 +418,7 @@ def compare_periods(rules: OctalRuleset, tail: Position = (), n_max: int = 200,
     The sequential operator is skipped (with a reason, not an error) when
     the ruleset can split, since no sequential reading exists there.
     """
+    _check_min_confirm(min_confirm)
     tail = tuple(tail)
     splitty = any(_as_rules(r).can_split for r, _ in ((rules, 0),) + tail)
     results = []

@@ -24,13 +24,14 @@ commutative composites expand by it, and so do heap positions in
 `octal.grundy_value`.  The sequential composite is a chain of binary
 joins, each a fold over the head's tree, so a component of any depth sums.
 
-A commutative sum sorts its components once, at the public call;
-successor states come back sorted, so the recursion never sorts again.
-The composite memo keys on that raw sorted state, leaves included, so
-each successor edge of a tree sum costs one int-keyed lookup.  Leaves are
-folded only on a miss.  A sum of one game is that game, shifted by the
-leaves beside it, under every operator: `_composite` returns it without
-expanding it, so a lone component of any depth sums too.
+A commutative composite is a fold of `game._postorder` over states, a
+state's children being its successor states, so a sum of any depth
+builds.  Components are sorted once, at the public call, and successors
+come back sorted, so the composite memo keys on the raw state, leaves
+included: a successor edge costs one lookup.  Leaves are folded only on
+a miss.  A sum of one game is that game, shifted by the leaves beside
+it, under every operator; `_composite` returns it unexpanded.  That is
+for speed, not depth: a lone game is never played out move by move.
 """
 
 from __future__ import annotations
@@ -170,23 +171,6 @@ _TREE_MOVES = {
 }
 
 
-def _fold_leaves(state: tuple[GameId, ...]) -> tuple[Raw, tuple[GameId, ...]]:
-    """Split off the option-less components, which only add their score.
-
-    Returns (their total score, the state of the rest), the rest keeping
-    the order it had in `state`.
-    """
-    folded = 0
-    core = []
-    for g in state:
-        left, s, right = _nodes[g]
-        if left or right:
-            core.append(g)
-        else:
-            folded += s
-    return folded, tuple(core)
-
-
 _build_memo: dict[Operator, dict[tuple[GameId, ...], GameId]] = {
     op: {} for op in Operator if op is not Operator.SEQUENTIAL}
 
@@ -199,22 +183,37 @@ def _composite(op: Operator, state: tuple[GameId, ...], memo: dict) -> GameId:
     lookup.  Leaves fold into a shift of the composite of the rest.
     """
     got = memo.get(state)
-    if got is None:
-        folded, core = _fold_leaves(state)
-        if not core:
-            got = _make((), folded, ())
-        elif len(core) == 1:
+    if got is not None:
+        return got
+
+    def expand(state):
+        folded = 0      # leaves only add their score
+        core = []
+        for g in state:
+            left, s, right = _nodes[g]
+            if left or right:
+                core.append(g)
+            else:
+                folded += s
+        core = tuple(core)
+        if len(core) < 2:
+            return (folded, core, (), ()), iter(())
+        if folded:
+            return (folded, core, (), ()), iter((core,))
+        lefts = [ms for ms, _ in _successors(op, core, _TREE_MOVES["L"], {})]
+        rights = [ms for ms, _ in _successors(op, core, _TREE_MOVES["R"], {})]
+        return (0, core, lefts, rights), iter(lefts + rights)
+
+    def combine(folded, core, lefts, rights, memo):
+        if len(core) < 2:
             # a sum of one game is that game
-            got = _shift(core[0], folded)
-        elif folded:
-            got = _shift(_composite(op, core, memo), folded)
-        else:
-            total = sum(_nodes[g][1] for g in core)
-            lefts = {_composite(op, ms, memo) for ms, _ in _successors(op, core, _TREE_MOVES["L"], {})}
-            rights = {_composite(op, ms, memo) for ms, _ in _successors(op, core, _TREE_MOVES["R"], {})}
-            got = _make(tuple(sorted(lefts)), total, tuple(sorted(rights)))
-        memo[state] = got
-    return got
+            return _shift(core[0], folded) if core else _make((), folded, ())
+        if folded:
+            return _shift(memo[core], folded)
+        return _make(tuple(sorted({memo[ms] for ms in lefts})), sum(_nodes[g][1] for g in core),
+                     tuple(sorted({memo[ms] for ms in rights})))
+
+    return _postorder(state, combine, memo, expand)
 
 
 _seq_join_memo: dict[GameId, dict[GameId, GameId]] = {}

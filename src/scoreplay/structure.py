@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence
 
 from .evaluate import Outcome, outcome, outcome_of_scores
 from .game import (GameId, _node, _postorder, _shift, as_score, is_leaf, left_options,
@@ -64,6 +64,29 @@ class ImpartialParams:
             raise ValueError("leaf_probability must be within [0, 1]")
 
 
+def _unwind(build: Generator) -> GameId:
+    """Run a recursive generator `build` on an explicit stack.
+
+    `build` yields the generator of each subtree it needs, depth first, and
+    is sent back that subtree's game; it returns its own game.  So a
+    builder reads like the recursion and draws in the same order, and any
+    depth works.
+    """
+    stack = [build]
+    got = None
+    while True:
+        try:
+            child = stack[-1].send(got)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            got = done.value
+        else:
+            stack.append(child)
+            got = None
+
+
 def random_impartial(params: ImpartialParams, rng: Optional[random.Random] = None) -> GameId:
     """A random impartial game: scores from the palette shape the drift.
 
@@ -73,33 +96,35 @@ def random_impartial(params: ImpartialParams, rng: Optional[random.Random] = Non
     """
     rng = rng or random.Random(params.seed)
 
-    def build(depth: int, s: Fraction) -> GameId:
+    def build(depth: int, s: Fraction) -> Generator:
         if depth <= 0 or rng.random() < params.leaf_probability:
             return number(s)
         lefts, rights = [], []
         for _ in range(rng.randint(1, params.max_branch)):
             p = rng.choice(params.palette)
-            gl = build(depth - 1, s + p)
+            gl = yield build(depth - 1, s + p)
             lefts.append(gl)
             rights.append(_mirror_option(gl, s))
         return make_game(lefts, s, rights)
 
-    return build(params.max_depth, rng.choice(params.palette))
+    return _unwind(build(params.max_depth, rng.choice(params.palette)))
 
 
 def random_game(params: ImpartialParams, rng: Optional[random.Random] = None) -> GameId:
     """A random unconstrained game; node scores drawn from the palette."""
     rng = rng or random.Random(params.seed)
 
-    def build(depth: int) -> GameId:
+    def build(depth: int) -> Generator:
         s = rng.choice(params.palette)
         if depth <= 0 or rng.random() < params.leaf_probability:
             return number(s)
-        lefts = [build(depth - 1) for _ in range(rng.randint(0, params.max_branch))]
-        rights = [build(depth - 1) for _ in range(rng.randint(0, params.max_branch))]
+        lefts, rights = [], []
+        for side in (lefts, rights):
+            for _ in range(rng.randint(0, params.max_branch)):
+                side.append((yield build(depth - 1)))
         return make_game(lefts, s, rights)
 
-    return build(params.max_depth)
+    return _unwind(build(params.max_depth))
 
 
 def identity_game() -> GameId:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import scoreplay
-from scoreplay import FinalScores, cli, outcome_of_scores
+from scoreplay import FinalScores, cli, octal, outcome_of_scores
 from scoreplay.cli import main
 
 
@@ -210,6 +210,18 @@ def test_period_compare_json_battery(capsys):
     assert [r["ruleset"] for r in report["reports"]] == ["0.33:1,2",
                                                          "0.337:1,2,0"]
     assert report["reports"][1]["reference_period"] == 6
+
+
+@pytest.mark.parametrize("command", ["gs", "period-compare"])
+def test_min_confirm_below_one_exits_2_before_any_table(capsys, monkeypatch, command):
+    # at the default n_max, tables of this splitting ruleset take minutes
+    def value_table(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(cli, "value_table", value_table)
+    monkeypatch.setattr(octal, "value_table", value_table)
+    code, out, err = run(capsys, command, "--rules", "0.007:0,0,1", "--min-confirm", "0")
+    assert (code, out) == (2, "")
+    assert err == "scoreplay: error: min_confirm must be at least 1\n"
 
 
 def test_period_compare_empty_battery_exits_2(capsys):

@@ -2,7 +2,8 @@
 
 Each expected value comes from a loop over the levels of the line in the
 test itself, never from the walk under test.  The heap evaluator still
-recurses once per ply; its last test guards how many frames a ply costs.
+recurses once per ply; a fresh-process test guards how many frames a ply
+costs.
 """
 
 import os
@@ -17,10 +18,11 @@ from pathlib import Path
 import pytest
 
 import scoreplay
-from scoreplay import (FinalScores, Operator, conjunctive_inverse, eval_sum,
-                       final_scores, format_game, is_impartial, make_game,
-                       max_score_magnitude, negate, number, parse_game, reverse,
-                       shift, sum_games)
+from scoreplay import (FinalScores, ImpartialParams, Operator, conjunctive_inverse,
+                       eval_sum, final_scores, format_game, is_impartial, make_game,
+                       max_score_magnitude, negate, number, outcome_of_scores,
+                       parse_game, random_impartial, reverse, shift, sum_games)
+from scoreplay.notation import format_score
 
 BOTTOM = 3      # score of the leaf at the end of every line
 
@@ -87,13 +89,40 @@ def _final_scores(depth):
     return final_scores(_line(depth)), FinalScores(sl, sr)
 
 
-def _sequential_eval_sum(depth):
-    # joined before {1|0|-1}, a side leaf x plays on as that game shifted
-    # by x: Left to move ends it at x + 1, Right to move at x - 1
-    sl, sr = _fold_line(depth, (BOTTOM + 1, BOTTOM - 1),
-                        lambda i, fs, s, x: (fs[1], x + 1) if i % 2 == 0 else (x - 1, fs[0]))
+#: the components that move in one turn of a sum of the line and a tail,
+#: per operator: 0 the line alone, 1 the tail alone, 2 both
+MOVERS = {Operator.DISJUNCTIVE: (0, 1), Operator.CONJUNCTIVE: (2,),
+          Operator.SELECTIVE: (0, 1, 2), Operator.SEQUENTIAL: (0,)}
+
+
+def _tail_scores(op, depth):
+    """Final scores of the line summed with {1|0|-1} under `op`, line first.
+
+    Loops up the levels with two pairs: the final scores of the line alone,
+    and those of the line beside the unplayed tail.  A played tail is a
+    leaf of 1 or -1, which only shifts what is beside it; so does a side
+    leaf x, whatever is still unplayed beside it.
+    """
+    def node(i, below, s, x):
+        (line_sl, line_sr), (both_sl, both_sr) = below
+        # each player's moves, by MOVERS index, valued at the successor's
+        # final score with the other player to move
+        if i % 2 == 0:      # the line goes on through Left's option
+            line = (line_sr, x)
+            lefts = (both_sr, line[1] + 1, line_sr + 1)
+            rights = (x + 1, line[0] - 1, x - 1)
+        else:
+            line = (x, line_sl)
+            lefts = (x - 1, line[1] + 1, x + 1)
+            rights = (both_sl, line[0] - 1, line_sl - 1)
+        return line, (max(lefts[k] for k in MOVERS[op]), min(rights[k] for k in MOVERS[op]))
+    _, (sl, sr) = _fold_line(depth, ((BOTTOM, BOTTOM), (BOTTOM + 1, BOTTOM - 1)), node)
+    return FinalScores(sl, sr)
+
+
+def _tail_eval_sum(op, depth):
     tail = make_game([number(1)], 0, [number(-1)])
-    return eval_sum(Operator.SEQUENTIAL, [_line(depth), tail]), FinalScores(sl, sr)
+    return eval_sum(op, [_line(depth), tail]), _tail_scores(op, depth)
 
 
 def _magnitude(depth):
@@ -114,7 +143,10 @@ CASES = {
     # joining a leaf after the line shifts the line by the leaf's score
     "sequential_sum": lambda d: (sum_games(Operator.SEQUENTIAL, [_line(d), number(5)]),
                                  _build(d, lambda v: v + 5)),
-    "sequential_eval_sum": _sequential_eval_sum,
+    **{f"{op.value}_eval_sum": lambda d, op=op: _tail_eval_sum(op, d) for op in Operator},
+    # one option a side, all scores 0: the draws make a ladder
+    "random_impartial": lambda d: (random_impartial(ImpartialParams(
+        max_depth=d, max_branch=1, palette=(0,), leaf_probability=0)), _ladder(d, 0)),
 }
 
 
@@ -164,6 +196,16 @@ def test_walks_visit_a_shared_node_once():
         assert is_impartial(ladder)
 
 
+def _fresh(*args):
+    """Standard output of `python *args` in a fresh interpreter, which must
+    exit 0 with nothing on standard error."""
+    env = dict(os.environ, PYTHONPATH=str(Path(scoreplay.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
 def test_cold_heap_value_at_300_plies_finishes():
     # a cold heap_value(0.33:1,2, n) plays n plies deep at about 3 stack
     # levels a ply, so it fails from about n = 330 under the default
@@ -173,8 +215,26 @@ def test_cold_heap_value_at_300_plies_finishes():
         values.append(max(p - values[n - p] for p in (1, 2) if p <= n))
     code = ("from scoreplay import heap_value, parse_octal; "
             "print(heap_value(parse_octal('0.33:1,2'), 300))")
-    env = dict(os.environ, PYTHONPATH=str(Path(scoreplay.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == f"{values[300]}\n"
+    assert _fresh("-c", code) == f"{values[300]}\n"
+
+
+def test_cold_heap_game_at_1500_beans_finishes():
+    # with no points, the tree of heap n offers the trees of n - 1 and n - 2
+    # to both sides at score 0: a DAG of 1501 nodes, 1500 levels deep
+    code = ("from scoreplay import heap_game, make_game, number, parse_octal\n"
+            "got = heap_game(parse_octal('0.33:0,0'), 1500, cap=1500)\n"
+            "trees = [number(0)]\n"
+            "for n in range(1, 1501):\n"
+            "    trees.append(make_game(trees[-2:], 0, trees[-2:]))\n"
+            "print(got == trees[1500])\n")
+    assert _fresh("-c", code) == "True\n"
+
+
+def test_cli_sums_a_deep_line(tmp_path):
+    depth, op = 10 ** 4, Operator.SELECTIVE
+    path = tmp_path / "games.txt"
+    path.write_text(_text(depth) + "\n{1|0|-1}\n", encoding="utf-8")
+    fs = _tail_scores(op, depth)
+    out = _fresh("-m", "scoreplay", "sum", "--op", "sel", "--file", str(path))
+    assert out == (f"selective sum of 2 components: SL={format_score(fs.sl)} "
+                   f"SR={format_score(fs.sr)} outcome={outcome_of_scores(fs)}\n")
