@@ -316,7 +316,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        required=True, metavar="RULESET",
                        help="ruleset to include (repeat for a battery)")
     p_cmp.add_argument("--n-max", type=int, default=200, metavar="N",
-                       help="largest heap size tabulated (default 200)")
+                       help="largest heap size tabulated (default 200; "
+                            "splitting rulesets get expensive under every "
+                            "operator well before that, and all four "
+                            "operators are tabulated)")
     p_cmp.add_argument("--min-confirm", type=int, default=10, metavar="K",
                        help="indices a candidate period must match "
                             "(default 10)")

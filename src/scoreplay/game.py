@@ -25,7 +25,9 @@ sums, heap trees) share one post-order fold on an explicit stack,
 `_postorder`: any depth works, and each key is computed once, into a memo.
 Negate and shift keep their memos across calls, which later calls reuse;
 reverse and magnitudes fold into a dict of their own per call.  The
-shift memo is nested by amount, `_shift_memo[amount][g]`.
+shift memo is nested by amount, `_shift_memo[amount][g]`.  This module's
+other explicit stack, `_unwind`, runs builders that read input or draw in
+order (the parser, the random generators), written as recursive generators.
 
 Scores are exact rationals.  The store keeps each one in a canonical
 form: an `int` when the value is integral, a `fractions.Fraction` only
@@ -45,7 +47,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Generator, Iterable, Iterator, Union
 
 GameId = int
 Score = Fraction
@@ -216,6 +218,29 @@ def _postorder(key, combine: Callable[..., object], memo: dict, expand=_options)
             stack.pop()
             memo[key] = combine(*args, memo)
     return memo[key]
+
+
+def _unwind(build: Generator):
+    """Run a recursive generator `build` on an explicit stack.
+
+    `build` yields the generator of each subtree it needs, depth first, and
+    is sent back that subtree's value; it returns its own value.  So a
+    builder reads like the recursion and runs in the same order, and any
+    depth works.
+    """
+    stack = [build]
+    got = None
+    while True:
+        try:
+            child = stack[-1].send(got)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            got = done.value
+        else:
+            stack.append(child)
+            got = None
 
 
 def _mapped(options: tuple[GameId, ...], memo: dict[GameId, GameId]) -> tuple[GameId, ...]:

@@ -6,13 +6,16 @@ Game grammar (whitespace never matters):
     options  := '.' | game (',' game)*
     rational := ['+'|'-'] digits ['/' digits]
 
+The parser's methods are these productions: `game` and `options` are
+generators that yield each sub-game and run on `game._unwind`, so no
+nesting depth is too deep.  Digits are the ASCII 0-9 only.
+
 A bare rational is the game with that score and no moves, and is also how
 such games print: parse("{.|5|.}") formats back as "5".  The dot is the
 only way to write an empty option set; "{1|2}" is not a game.  Scores are
 exact ("1/3", never "0.333").
 
-Files hold one game per line; '#' starts a comment.  Parsing and
-printing keep their own stacks, so no nesting depth is too deep for them.
+Files hold one game per line; '#' starts a comment.
 
 Octal rulesets are written "0.337:1,2,0" - digits after the "0." (which
 may be omitted), then optional ':' and one point value per digit.  When
@@ -23,10 +26,13 @@ or 3, and nothing otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Generator, Iterable
 
-from .game import GameId, _node, _nodes, make_game
+from .game import GameId, _node, _nodes, _unwind, make_game
 from .octal import OctalRuleset
+
+
+_DIGITS = frozenset("0123456789")
 
 
 class NotationError(ValueError):
@@ -53,6 +59,7 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def take(self, char: str):
+        self.skip_ws()
         if self.peek() != char:
             self.error(f"expected {char!r}")
         self.pos += 1
@@ -63,7 +70,7 @@ class _Parser:
         if self.peek() in ("+", "-"):
             self.pos += 1
         digits = self.pos
-        while self.peek().isdigit():
+        while self.peek() in _DIGITS:
             self.pos += 1
         if self.pos == digits:
             self.error("expected a number")
@@ -71,7 +78,7 @@ class _Parser:
         if self.peek() == "/":
             self.pos += 1
             dstart = self.pos
-            while self.peek().isdigit():
+            while self.peek() in _DIGITS:
                 self.pos += 1
             if self.pos == dstart:
                 self.error("expected a denominator")
@@ -82,62 +89,46 @@ class _Parser:
             return Fraction(num, den)
         return num
 
-    def game(self) -> GameId:
-        """One game; open braces wait on a stack, so any nesting depth parses."""
-        stack: list[list] = []     # per open brace: [left ids, score, right ids]
-        starts, g = True, None     # whether a game starts here; a game just read
-        while True:
-            if starts:
-                self.skip_ws()
-                c = self.peek()
-                if c == "{":
-                    self.pos += 1
-                    stack.append([[], None, []])
-                    starts = self.options_follow()
-                    continue
-                if not (c.isdigit() or c in ("+", "-")):
-                    self.error("expected a game")
-                g, starts = make_game((), self.rational(), ()), False
-            if g is not None:
-                if not stack:
-                    return g
-                top = stack[-1]
-                top[0 if top[1] is None else 2].append(g)
-                g = None
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    starts = True
-                    continue
-            # the innermost brace's current option list has ended
-            top = stack[-1]
-            self.skip_ws()
-            if top[1] is None:
-                self.take("|")
-                self.skip_ws()
-                top[1] = self.rational()
-                self.skip_ws()
-                if self.peek() != "|":
-                    self.error("expected '|' after the score (games are {options|score|options})")
-                self.pos += 1
-                starts = self.options_follow()
-            else:
-                self.take("}")
-                g = make_game(*stack.pop())
+    def game(self) -> Generator:
+        """game := rational | '{' options '|' rational '|' options '}'"""
+        self.skip_ws()
+        c = self.peek()
+        if c != "{":
+            if c not in _DIGITS and c not in ("+", "-"):
+                self.error("expected a game")
+            return make_game((), self.rational(), ())
+        self.pos += 1
+        left = yield self.options()
+        self.take("|")
+        self.skip_ws()
+        s = self.rational()
+        self.skip_ws()
+        if self.peek() != "|":
+            self.error("expected '|' after the score (games are {options|score|options})")
+        self.pos += 1
+        right = yield self.options()
+        self.take("}")
+        return make_game(left, s, right)
 
-    def options_follow(self) -> bool:
-        """Whether an option list starts here; consumes the '.' of an empty one."""
+    def options(self) -> Generator:
+        """options := '.' | game (',' game)*"""
         self.skip_ws()
         if self.peek() == ".":
             self.pos += 1
-            return False
-        return True
+            return []
+        games = [(yield self.game())]
+        self.skip_ws()
+        while self.peek() == ",":
+            self.pos += 1
+            games.append((yield self.game()))
+            self.skip_ws()
+        return games
 
 
 def parse_game(text: str) -> GameId:
     """Parse one game; raises NotationError with a position on bad input."""
     p = _Parser(text)
-    g = p.game()
+    g = _unwind(p.game())
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input after the game")

@@ -24,9 +24,9 @@ from itertools import combinations
 from typing import Generator, Iterator, Optional, Sequence
 
 from .evaluate import Outcome, outcome, outcome_of_scores
-from .game import (GameId, _node, _postorder, _shift, as_score, is_leaf, left_options,
-                   make_game, max_score_magnitude, negate, number, reverse,
-                   right_options, score, shift)
+from .game import (GameId, _node, _postorder, _shift, _unwind, as_score, is_leaf,
+                   left_options, make_game, max_score_magnitude, negate, number,
+                   reverse, score, shift)
 from .notation import format_game
 from .operators import Operator, eval_sum, sum_games
 
@@ -34,13 +34,14 @@ from .operators import Operator, eval_sum, sum_games
 def is_impartial(g: GameId) -> bool:
     """Whether both players have mirrored options at every node."""
     _node(g)
-    return _postorder(g, _mirrored, {})
+    return _postorder(g, lambda left, s, right, memo: all(memo[x] for x in left + right)
+                      and set(left) == {_mirror(x, s) for x in right}, {})
 
 
-def _mirrored(left, s, right, memo) -> bool:
-    if bool(left) != bool(right) or not all(memo[x] for x in left + right):
-        return False
-    return {_shift(x, -s) for x in left} == {negate(_shift(x, -s)) for x in right}
+def _mirror(x: GameId, s) -> GameId:
+    """The option on the other side paired with `x` under a node score `s`:
+    sides swap and each score t becomes 2s - t.  An involution."""
+    return _shift(negate(x), 2 * s)
 
 
 @dataclass(frozen=True)
@@ -64,29 +65,6 @@ class ImpartialParams:
             raise ValueError("leaf_probability must be within [0, 1]")
 
 
-def _unwind(build: Generator) -> GameId:
-    """Run a recursive generator `build` on an explicit stack.
-
-    `build` yields the generator of each subtree it needs, depth first, and
-    is sent back that subtree's game; it returns its own game.  So a
-    builder reads like the recursion and draws in the same order, and any
-    depth works.
-    """
-    stack = [build]
-    got = None
-    while True:
-        try:
-            child = stack[-1].send(got)
-        except StopIteration as done:
-            stack.pop()
-            if not stack:
-                return done.value
-            got = done.value
-        else:
-            stack.append(child)
-            got = None
-
-
 def random_impartial(params: ImpartialParams, rng: Optional[random.Random] = None) -> GameId:
     """A random impartial game: scores from the palette shape the drift.
 
@@ -104,7 +82,7 @@ def random_impartial(params: ImpartialParams, rng: Optional[random.Random] = Non
             p = rng.choice(params.palette)
             gl = yield build(depth - 1, s + p)
             lefts.append(gl)
-            rights.append(_mirror_option(gl, s))
+            rights.append(_mirror(gl, s))
         return make_game(lefts, s, rights)
 
     return _unwind(build(params.max_depth, rng.choice(params.palette)))
@@ -223,12 +201,8 @@ def nonzero_witness(g: GameId, op: Operator) -> ContextWitness:
         raise ValueError("the zero game has no separating context")
     if is_leaf(g):
         x = number(0)
-    elif left_options(g):
-        bad = -(1 + max(Fraction(1), max_score_magnitude(g)))
-        x = make_game([], 1, [number(bad)])
     else:
-        good = 1 + max(Fraction(1), max_score_magnitude(g))
-        x = make_game([number(good)], -1, [])
+        x = _trap(max(Fraction(1), max_score_magnitude(g)), bool(left_options(g)))
     composed = outcome_of_scores(eval_sum(op, [g, x]))
     baseline = outcome(x)
     if composed == baseline:
@@ -238,9 +212,12 @@ def nonzero_witness(g: GameId, op: Operator) -> ContextWitness:
     return ContextWitness(x, op, composed, baseline)
 
 
-def _mirror_option(x: GameId, s: Fraction) -> GameId:
-    """The Right option paired with Left option `x` under a node score `s`."""
-    return shift(negate(shift(x, -s)), s)
+def _trap(magnitude: Fraction, right_moves: bool) -> GameId:
+    """{.|1|-(1+m)} if Right moves, else {1+m|-1|.}: a one-sided trap
+    whose lone move outweighs the magnitude m and its own point."""
+    if right_moves:
+        return make_game([], 1, [number(-(1 + magnitude))])
+    return make_game([number(1 + magnitude)], -1, [])
 
 
 def _context_stream(g: GameId, h: GameId, depth: int, branching: int,
@@ -260,14 +237,14 @@ def _context_stream(g: GameId, h: GameId, depth: int, branching: int,
         for s in palette:
             for k in range(1, branching + 1):
                 for lefts in combinations(pool, k):
-                    rights = [_mirror_option(x, s) for x in lefts]
+                    rights = [_mirror(x, s) for x in lefts]
                     built = make_game(lefts, s, rights)
                     grown.append(built)
                     yield built
         pool = pool + grown
     magnitude = max(Fraction(1), max_score_magnitude(g), max_score_magnitude(h))
-    yield make_game([], 1, [number(-(1 + magnitude))])
-    yield make_game([number(1 + magnitude)], -1, [])
+    yield _trap(magnitude, True)
+    yield _trap(magnitude, False)
 
 
 def distinguishing_context(g: GameId, h: GameId, op: Operator, depth: int = 3,
@@ -324,7 +301,7 @@ def _impartial_stream(g: GameId, depth: int, branching: int) -> Iterator[GameId]
                         options.append(opt)
             for k in range(1, branching + 1):
                 for lefts in combinations(options, k):
-                    rights = [_mirror_option(x, s) for x in lefts]
+                    rights = [_mirror(x, s) for x in lefts]
                     built = make_game(lefts, s, rights)
                     grown.append(built)
                     yield built

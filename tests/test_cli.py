@@ -46,6 +46,12 @@ def test_eval_parse_error_exits_2(capsys):
     assert "parse error" in err
 
 
+def test_eval_non_ascii_digit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "eval", "\u00b2")
+    assert (code, out) == (2, "")
+    assert "parse error: expected a game (at position 0)" in err
+
+
 def test_eval_without_games_exits_2(capsys):
     code, _, err = run(capsys, "eval")
     assert code == 2

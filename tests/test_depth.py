@@ -230,6 +230,17 @@ def test_cold_heap_game_at_1500_beans_finishes():
     assert _fresh("-c", code) == "True\n"
 
 
+def test_drifting_impartial_ladder_interns_few_nodes():
+    # the drawn game itself has about 9,300 distinct nodes; a mirror that
+    # shifts away, negates and shifts back interns about twice as many
+    code = ("from scoreplay import ImpartialParams, random_impartial, store_size\n"
+            "before = store_size()\n"
+            "random_impartial(ImpartialParams(max_depth=125, max_branch=1,\n"
+            "                                 leaf_probability=0, seed=1))\n"
+            "print(store_size() - before)\n")
+    assert int(_fresh("-c", code)) <= 12_000
+
+
 def test_cli_sums_a_deep_line(tmp_path):
     depth, op = 10 ** 4, Operator.SELECTIVE
     path = tmp_path / "games.txt"

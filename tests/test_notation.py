@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from conftest import games_st
 from scoreplay import (NotationError, OctalRuleset, format_game, format_score,
@@ -74,6 +75,36 @@ def test_parse_error_at_end_of_text(text, message, position):
         parse_game(text)
     assert err.value.position == position <= len(text)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("{0|1,2|3}", "expected '|' after the score", 4),
+    ("1/", "expected a denominator", 2),
+    ("1/0", "zero denominator", 2),
+    ("{0|1|2|", "expected '}'", 6),
+    ("{0,1}", "expected '|'", 4),
+    ("{1|0|-1}}", "trailing input after the game", 8),
+    ("\u00b2", "expected a game", 0),           # superscript two
+    ("{1|\u00b2|0}", "expected a number", 3),
+    ("1/\u00b2", "expected a denominator", 2),
+    ("\u0661\u0662", "expected a game", 0),     # Arabic-Indic twelve
+])
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(NotationError) as err:
+        parse_game(text)
+    assert err.value.position == position
+    assert str(err.value).startswith(message)
+
+
+@given(st.text(alphabet="{}|,./+- 0123456789\u00b2\u0661", max_size=30))
+def test_parse_game_returns_a_game_or_raises_notation_error(text):
+    # only the ASCII digits are digits: str.isdigit() also accepts '\u00b2',
+    # which int() rejects, and '\u0661', which int() reads as 1
+    try:
+        g = parse_game(text)
+    except NotationError:
+        return
+    assert parse_game(format_game(g)) == g
 
 
 def test_format_leaf():

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import games_st, scores_st
 from scoreplay import (ImpartialParams, Operator, conjunctive_inverse,
                        distinguishing_context, eval_sum, final_scores,
                        identity_game, identity_test, inverse_search,
-                       is_impartial, nonzero_witness, number, outcome,
+                       is_impartial, negate, nonzero_witness, number, outcome,
                        outcome_of_scores, parse_game, random_game,
-                       random_impartial, reverse, score, sum_games, Outcome)
+                       random_impartial, reverse, score, shift, sum_games, Outcome)
+from scoreplay.structure import _mirror
 
 
 def test_is_impartial_pinned():
@@ -31,6 +33,13 @@ def test_random_impartial_is_impartial(seed):
     assert is_impartial(g)
     fs = final_scores(g)
     assert fs.sl + fs.sr == 2 * score(g)
+
+
+@given(games_st(), scores_st)
+def test_mirror_is_one_shift_of_the_negation(g, s):
+    # the three-pass form it replaced, kept as the oracle
+    assert _mirror(g, s) == shift(negate(shift(g, -s)), s)
+    assert _mirror(_mirror(g, s), s) == g
 
 
 def test_random_impartial_leaf_probability_one():
