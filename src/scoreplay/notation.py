@@ -18,7 +18,8 @@ exact ("1/3", never "0.333").
 Files hold one game per line; '#' starts a comment.
 
 Octal rulesets are written "0.337:1,2,0" - digits after the "0." (which
-may be omitted), then optional ':' and one point value per digit.  When
+may be omitted), then optional ':' and one point value per digit, each a
+rational as above.  When
 points are omitted, removing i beans scores i points if digit i is 1, 2
 or 3, and nothing otherwise.
 """
@@ -33,6 +34,7 @@ from .octal import OctalRuleset
 
 
 _DIGITS = frozenset("0123456789")
+_OCTAL_DIGITS = frozenset("01234567")
 
 
 class NotationError(ValueError):
@@ -182,30 +184,34 @@ def parse_game_lines(text: str | Iterable[str]) -> list[GameId]:
 
 
 def parse_octal(text: str) -> OctalRuleset:
-    """Parse a ruleset like '0.33:1,2', '337' or '0.007:0,0,1/2'."""
-    body = text.strip()
-    head, sep, tail = body.partition(":")
-    head = head.strip()
-    if head.startswith("0."):
-        head = head[2:]
-    if not head:
-        raise NotationError("expected ruleset digits", 0)
-    digits = []
-    for i, c in enumerate(head):
-        if not c.isdigit() or c > "7":
-            raise NotationError(f"octal digit expected, got {c!r}", i)
-        digits.append(int(c))
-    points = None
-    if sep:
-        points = []
-        for chunk in tail.split(","):
-            chunk = chunk.strip()
-            try:
-                points.append(Fraction(chunk))
-            except (ValueError, ZeroDivisionError):
-                raise NotationError(f"bad point value {chunk!r}",
-                                    body.index(chunk) if chunk else len(body)) from None
+    """Parse a ruleset like '0.33:1,2', '337' or '0.007:0,0,1/2'.
+
+    Each point value is a `rational` of the game grammar; error positions
+    index `text` as given.
+    """
+    p = _Parser(text)
+    p.skip_ws()
+    if text.startswith("0.", p.pos):
+        p.pos += 2
+    first = p.pos
+    while p.peek() in _OCTAL_DIGITS:
+        p.pos += 1
+    digits = tuple(int(c) for c in text[first:p.pos])
+    c = p.peek()
+    if c and c != ":" and not c.isspace():
+        p.error(f"octal digit expected, got {c!r}")
+    if not digits:
+        p.error("expected ruleset digits")
+    p.skip_ws()
+    points = []         # stays empty only without a ':'
+    while p.peek() == (":" if not points else ","):
+        p.pos += 1
+        p.skip_ws()
+        points.append(p.rational())
+        p.skip_ws()
+    if p.pos != len(text):
+        p.error("trailing input after the ruleset")
     try:
-        return OctalRuleset(tuple(digits), tuple(points) if points is not None else None)
+        return OctalRuleset(digits, tuple(points) or None)
     except ValueError as e:
-        raise NotationError(str(e), 0) from None
+        raise NotationError(str(e), first) from None

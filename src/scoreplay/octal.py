@@ -20,21 +20,23 @@ Values are computed by `_negamax` over the combined moves that
 `operators._successors` lists, in integer arithmetic scaled by the common
 denominator of the point awards; results are exact Fractions.  Both
 players have the same moves in a heap position, so one memo per operator
-and scale holds the value of a state to whoever is to move.  Heaps are
-interned too: one heap store, keyed on the ruleset object itself and the
-size, gives each (ruleset, size) pair a small int heap id once, and holds
-the ruleset, the size and the heap's raw moves, computed at insertion.
-A state is a tuple of heap ids, sorted for the commutative operators, so
-it hashes and compares as a flat tuple of ints, as a state of interned
-game ids does.  `_negamax` is the engine's last recursion, a frame a ply;
-`heap_game` folds heap ids by `game._postorder`, so its trees build at
-any depth.  Heap sizes must be ints; nothing is truncated into another heap.
+holds the value of a state to whoever is to move.  A heap needs no store:
+in a position whose distinct rulesets, in canonical order, are
+r_0 .. r_{k-1}, a heap of n beans of r_i is the int n * k + i, which is
+just n for a position of one ruleset.  A state is a tuple of those ints,
+sorted for the commutative operators, so it hashes and compares as a flat
+tuple of ints, as a state of interned game ids does.  Equal rulesets share
+one table of `_gs_tables`, keyed on the position's rulesets: the scale,
+each heap's scaled moves, built once, and each operator's memo.
+`_negamax` is the engine's last recursion, a frame a ply; `heap_game`
+folds (operator, ruleset, size) keys by `game._postorder`, so its trees
+build at any depth.  Heap sizes must be ints; nothing is truncated into
+another heap.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -77,9 +79,8 @@ class OctalRuleset:
                     f"{len(digits)} digits but {len(points)} point values")
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "points", points)
-        # every grundy_value call looks its heaps up in the heap store by
-        # (ruleset, size); hashing the Fraction points afresh each time is
-        # wasted work
+        # every grundy_value call looks its table up by its rulesets;
+        # hashing the Fraction points afresh each time is wasted work
         object.__setattr__(self, "_hash", hash((digits, points)))
 
     def __hash__(self) -> int:
@@ -102,26 +103,6 @@ Position = Iterable[Heap]
 
 RawMoves = tuple[tuple[Fraction, tuple[int, ...]], ...]
 
-#: the heap store: (ruleset, n) -> heap id, and heap id -> (ruleset, n, raw moves)
-_hids: dict[tuple[OctalRuleset, int], int] = {}
-_heaps: list[tuple[OctalRuleset, int, RawMoves]] = []
-_heap_lock = threading.Lock()
-
-
-def _hid(rules: OctalRuleset, n: int) -> int:
-    """The heap id of a heap of n beans of `rules`, interned once."""
-    key = (rules, n)
-    got = _hids.get(key)
-    if got is not None:
-        return got
-    with _heap_lock:
-        got = _hids.get(key)
-        if got is None:
-            got = len(_heaps)
-            _heaps.append((rules, n, _raw_moves(rules, n)))
-            _hids[key] = got
-        return got
-
 
 def _raw_moves(rules: OctalRuleset, n: int) -> RawMoves:
     out = []
@@ -139,6 +120,16 @@ def _raw_moves(rules: OctalRuleset, n: int) -> RawMoves:
             for a in range(1, rest // 2 + 1):
                 out.append((p, (a, rest - a)))
     return tuple(out)
+
+
+def _live(rules: OctalRuleset, n: int) -> bool:
+    """Whether a heap of n beans of `rules` has a move at all.
+
+    From n = len(digits) + 2 on, every take leaves at least two beans, so
+    bit 0 never applies and bits 1 and 2 always do: liveness there is the
+    liveness at len(digits) + 2, which bounds the check by the digits.
+    """
+    return bool(_raw_moves(rules, min(n, len(rules.digits) + 2)))
 
 
 def _as_size(n) -> int:
@@ -166,42 +157,35 @@ def heap_moves(rules: OctalRuleset, n: int) -> RawMoves:
     _as_rules(rules)
     if _as_size(n) < 0:
         raise ValueError(f"heap size must be nonnegative: {n}")
-    return _heaps[_hid(rules, n)][2]
+    return _raw_moves(rules, n)
 
 
-def _scaled_moves(scale: int) -> Moves:
-    """The `moves` of `operators._successors` for heaps, points times `scale`.
+#: (moves, scale, {op: (memo, groups) of `_negamax`}) for one set of rulesets
+Table = tuple[Moves, int, dict[Operator, tuple[dict, dict]]]
 
-    Heap id h moves to (int points, heap ids of the remainders).  Dead
-    remainders are dropped here once, so every state assembled from these
-    parts is live by construction and needs no further filtering.  Each
-    heap's moves are built once per returned function.
-    """
+#: the position's rulesets in canonical order -> their table: the operators
+#: share one copy of the moves, and no per-state key carries the operator
+_gs_tables: dict[tuple[OctalRuleset, ...], Table] = {}
+
+
+def _table(rulesets: tuple[OctalRuleset, ...]) -> Table:
+    """A fresh `_gs_tables` entry.  Its `moves`, as `operators._successors`
+    takes them, map heap n * k + i, once, to (points times the scale, live
+    remainders): dead ones are dropped here, so every state is live."""
+    k = len(rulesets)
+    scale = reduce(math.lcm, (p.denominator for rules in rulesets for p in rules.points), 1)
     cache: dict[int, tuple] = {}
 
-    def moves(hid: int) -> tuple:
-        got = cache.get(hid)
-        if got is None:
-            rules, _, raw = _heaps[hid]
-            got = []
-            for p, rem in raw:
-                parts = (_hid(rules, m) for m in rem)
-                got.append((int(p * scale), tuple(h for h in parts if _heaps[h][2])))
-            got = cache[hid] = tuple(got)
+    def moves(h: int) -> tuple:
+        got = cache.get(h)
+        if got is None:     # racing threads both store the same moves: no lock
+            n, i = divmod(h, k)
+            rules = rulesets[i]
+            got = cache[h] = tuple(
+                (int(p * scale), tuple(m * k + i for m in rem if _live(rules, m)))
+                for p, rem in _raw_moves(rules, n))
         return got
-    return moves
-
-
-def _canonical(op: Operator, hids: Sequence[int]) -> tuple[int, ...]:
-    live = [h for h in hids if _heaps[h][2]]
-    if op is not Operator.SEQUENTIAL:
-        live.sort()
-    return tuple(live)
-
-
-#: scale -> (scaled moves, {op: (memo, groups) of `_negamax`}): the operators
-#: share one copy of the moves, and no per-state key carries the operator
-_gs_tables: dict[int, tuple[Moves, dict[Operator, tuple[dict, dict]]]] = {}
+    return moves, scale, {}
 
 
 def _check_rules(op: Operator, rules: OctalRuleset) -> None:
@@ -214,7 +198,8 @@ def _check_rules(op: Operator, rules: OctalRuleset) -> None:
             f"splitting ruleset {rules.notation()} has no sequential reading")
 
 
-def _prepare(op: Operator, position: Position) -> tuple[tuple, int]:
+def _prepare(op: Operator, position: Position) -> tuple[tuple, Table]:
+    """The live heaps of `position` as a canonical state, and its table."""
     _check_op(op)
     heaps = []
     rulesets = []       # a position holds few: a list finds them without hashing
@@ -224,9 +209,15 @@ def _prepare(op: Operator, position: Position) -> tuple[tuple, int]:
             rulesets.append(rules)
         if _as_size(n) < 0:
             raise ValueError(f"heap sizes are nonnegative: {n}")
-        heaps.append(_hid(rules, n))
-    scale = reduce(math.lcm, (p.denominator for rules in rulesets for p in rules.points), 1)
-    return _canonical(op, heaps), scale
+        heaps.append((rules, n))
+    key = tuple(sorted(rulesets, key=lambda r: (r.digits, r.points)))
+    # setdefault only on a miss: its default would be built on every call
+    table = _gs_tables.get(key) or _gs_tables.setdefault(key, _table(key))
+    k, moves = len(key), table[0]
+    state = [h for rules, n in heaps if moves(h := n * k + key.index(rules))]
+    if op is not Operator.SEQUENTIAL:
+        state.sort()
+    return tuple(state), table
 
 
 def _negamax(op: Operator, state: tuple, moves: Moves, memo: dict, groups: dict) -> int:
@@ -247,9 +238,7 @@ def _negamax(op: Operator, state: tuple, moves: Moves, memo: dict, groups: dict)
 
 def grundy_value(op: Operator, position: Position) -> Fraction:
     """Mover-relative value of a heap position under `op`."""
-    state, scale = _prepare(op, position)
-    # setdefault only on a miss: its default would be built on every call
-    moves, memos = _gs_tables.get(scale) or _gs_tables.setdefault(scale, (_scaled_moves(scale), {}))
+    state, (moves, scale, memos) = _prepare(op, position)
     memo, groups = memos.get(op) or memos.setdefault(op, ({}, {}))
     return Fraction(_negamax(op, state, moves, memo, groups), scale)
 
@@ -259,7 +248,7 @@ def heap_value(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE)
     return grundy_value(op, [(rules, n)])
 
 
-_tree_memo: dict[tuple[Operator, int], GameId] = {}
+_tree_memo: dict[tuple[Operator, OctalRuleset, int], GameId] = {}
 
 
 def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
@@ -280,14 +269,13 @@ def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
     if n < 0:
         raise ValueError(f"heap size must be nonnegative: {n}")
     _check_rules(op, rules)
-    return _postorder((op, _hid(rules, n)), _heap_tree, _tree_memo, _heap_parts)
+    return _postorder((op, rules, n), _heap_tree, _tree_memo, _heap_parts)
 
 
-def _heap_parts(key: tuple[Operator, int]) -> tuple[tuple, Iterator]:
-    """Heap `key` = (op, heap id) as `heap_game` folds it: its moves, and their parts."""
-    op, hid = key
-    rules, _, raw = _heaps[hid]
-    moves = [(p, [(op, _hid(rules, m)) for m in rem]) for p, rem in raw]
+def _heap_parts(key: tuple[Operator, OctalRuleset, int]) -> tuple[tuple, Iterator]:
+    """Heap `key` = (op, rules, n) as `heap_game` folds it: its moves, and their parts."""
+    op, rules, n = key
+    moves = [(p, [(op, rules, m) for m in rem]) for p, rem in _raw_moves(rules, n)]
     return (op, moves), (part for _, parts in moves for part in parts)
 
 

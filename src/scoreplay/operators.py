@@ -75,7 +75,7 @@ def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> list[
     `state` is a canonical tuple of components: sorted for the commutative
     operators, in play order for the sequential one, and successors come
     back in the same form.  Components are ints for trees and heaps alike,
-    interned game ids or interned heap ids (`octal._hid`), so a state
+    interned game ids or heaps as `octal._prepare` numbers them, so a state
     hashes, compares and sorts as a flat tuple of ints.  `moves(c)` lists
     the mover's options in component c as (points, parts) pairs: `parts`
     replace c, and `points`, the mover's gain, are scaled ints for heaps

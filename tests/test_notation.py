@@ -165,6 +165,31 @@ def test_parse_octal_rejects_point_mismatch():
         parse_octal("0.33:1")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("0.38", "octal digit expected, got '8'", 3),
+    ("  0.38", "octal digit expected, got '8'", 5),
+    ("0.33:1,x", "expected a number", 7),
+    ("0.33:1,1/0", "zero denominator", 9),
+    ("0.3:\u0661", "expected a number", 4),        # Arabic-Indic one
+    ("0.3:1_0", "trailing input after the ruleset", 5),
+    ("0.3:1.5", "trailing input after the ruleset", 5),
+    ("0.3:1e2", "trailing input after the ruleset", 5),
+    ("0.33:1:2", "trailing input after the ruleset", 6),
+    ("  0.", "expected ruleset digits", 4),
+])
+def test_parse_octal_error_message_and_position(text, message, position):
+    # point values follow the game grammar's rationals, and positions
+    # index the text as given
+    with pytest.raises(NotationError) as err:
+        parse_octal(text)
+    assert err.value.position == position
+    assert str(err.value).startswith(message)
+
+
+def test_parse_octal_allows_whitespace_between_parts():
+    assert parse_octal(" 0.33 : 1 , -2/3 ") == OctalRuleset((3, 3), (1, Fraction(-2, 3)))
+
+
 def test_ruleset_notation_round_trips():
     for text in ("0.33:1,2", "0.007:0,0,1", "0.337:1,2,0"):
         assert parse_octal(text).notation() == text

@@ -156,38 +156,37 @@ def test_commutative_values_ignore_heap_order(op, data):
     assert grundy_value(op, shuffled) == grundy_value(op, pos)
 
 
-def test_heap_interning_is_thread_safe():
-    # a lost race gives one heap two ids, or one id to two heaps; each
-    # round interns 200 fresh heaps of a fresh ruleset from 4 threads at
-    # once, each thread holding its own equal but distinct ruleset object
+def test_concurrent_values_share_one_table():
+    # each round, 4 threads behind a barrier value the same positions over a
+    # fresh ruleset, each thread holding its own equal but distinct ruleset
+    # object: every thread must get the oracle's values, from one new table
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(10):
             copies = [OctalRuleset((3, 7), (F(round_ + 1, 7907), F(1))) for _ in range(4)]
             assert all(r == copies[0] and r is not copies[0] for r in copies[1:])
-            fresh = [(copies[0], n) for n in range(1, 201)]
-            assert not any(h in octal._hids for h in fresh)
-            stored = len(octal._heaps)
+            sizes = list(_small_positions(max_beans=6))
+            ops = [Operator.DISJUNCTIVE, Operator.SELECTIVE, Operator.CONJUNCTIVE]
+            want = [naive_heap_value(op, [(copies[0].digits, copies[0].points, n) for n in s])
+                    for op in ops for s in sizes]
+            tables = len(octal._gs_tables)
             start = threading.Barrier(4)
             seen: list = [None] * 4
 
-            def intern(t):
+            def evaluate(t):
                 start.wait()
-                seen[t] = [octal._hid(copies[t], n) for _, n in fresh]
+                seen[t] = [grundy_value(op, [(copies[t], n) for n in s])
+                           for op in ops for s in sizes]
 
-            threads = [threading.Thread(target=intern, args=(t,)) for t in range(4)]
+            threads = [threading.Thread(target=evaluate, args=(t,)) for t in range(4)]
             for th in threads:
                 th.start()
             for th in threads:
                 th.join(timeout=30)
             assert not any(th.is_alive() for th in threads)
-            assert seen[0] is not None and all(ids == seen[0] for ids in seen)
-            assert len(set(seen[0])) == len(fresh)
-            assert len(octal._heaps) == stored + len(fresh)
-            for h, hid in zip(fresh, seen[0]):
-                assert octal._heaps[hid][:2] == h
-                assert octal._hids[h] == hid
+            assert all(got == want for got in seen)
+            assert len(octal._gs_tables) == tables + 1
     finally:
         sys.setswitchinterval(old_interval)
 
@@ -226,10 +225,11 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("name", BAD_INPUTS)
 def test_entry_points_reject_a_bad_operator_or_ruleset(name):
-    stored = len(octal._heaps)
+    tables, trees = dict(octal._gs_tables), dict(octal._tree_memo)
     with pytest.raises(TypeError):
         BAD_INPUTS[name]()
-    assert len(octal._heaps) == stored      # nothing was interned on the way
+    # nothing was tabled on the way
+    assert octal._gs_tables == tables and octal._tree_memo == trees
 
 
 def test_rational_points_stay_exact():
@@ -266,13 +266,27 @@ def test_sequential_split_rejected_at_every_size():
             call()
 
 
-def test_equal_rulesets_share_one_heap_id():
-    # default points spelled out or left implicit: one ruleset, one hash, one heap id
+def test_equal_rulesets_share_one_table():
+    # default points spelled out or left implicit: one ruleset, one hash, one table
     implicit, explicit = OctalRuleset((3, 3)), OctalRuleset((3, 3), (1, 2))
     assert implicit == explicit
     assert hash(implicit) == hash(explicit)
-    assert octal._hid(implicit, 5) == octal._hid(explicit, 5)
-    assert octal._hid(OctalRuleset((3, 3), (2, 1)), 5) != octal._hid(implicit, 5)
+    op = Operator.DISJUNCTIVE
+    state, table = octal._prepare(op, [(implicit, 5)])
+    same_state, same_table = octal._prepare(op, [(explicit, 5)])
+    assert same_state == state and same_table is table
+    assert octal._prepare(op, [(OctalRuleset((3, 3), (2, 1)), 5)])[1] is not table
+
+
+def test_liveness_is_whether_a_heap_has_moves():
+    # liveness is not monotone in n: 0.1 is live at 1 and dead at 2
+    assert octal._live(OctalRuleset((1,)), 1) and not octal._live(OctalRuleset((1,)), 2)
+    for k in (1, 2, 3):
+        for digits in product(range(8), repeat=k):
+            if any(digits):
+                rules = OctalRuleset(digits)
+                for n in range(13):
+                    assert octal._live(rules, n) == bool(heap_moves(rules, n)), (digits, n)
 
 
 @pytest.mark.parametrize("op", list(Operator))

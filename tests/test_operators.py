@@ -247,21 +247,31 @@ def assert_successors_match_naive(op, state, moves):
     assert folded == naive_successors(op, state, moves)
 
 
+R007, R33_RATIONAL = parse_octal("0.007:0,0,1"), parse_octal("0.33:1/3,1/2")
+#: dead heaps of both rulesets: beside them, every position is valued in
+#: the one (R007, R33_RATIONAL) table
+BOTH = ((R007, 0), (R33_RATIONAL, 0))
+HEAPS = [(R007, n) for n in (3, 4, 6, 7)] + [(R33_RATIONAL, n) for n in (1, 2, 4)]
+
+
 def heap_states(op):
     """Canonical states of 1-3 heaps of `0.007:0,0,1` and `0.33:1/3,1/2`,
     runs of 2-3 equal heaps included; sequential states in every order."""
-    heaps = [octal._hid(r, n)
-             for r, sizes in ((parse_octal("0.007:0,0,1"), (3, 4, 6, 7)),
-                              (parse_octal("0.33:1/3,1/2"), (1, 2, 4)))
-             for n in sizes]
-    states = {octal._canonical(op, combo)
-              for k in (1, 2, 3) for combo in product(heaps, repeat=k)}
+    if op is Operator.SEQUENTIAL:
+        # R007 splits, so it has no sequential position to prepare: order
+        # each heap's own component instead
+        comps = [octal._prepare(Operator.DISJUNCTIVE, (heap,) + BOTH)[0] for heap in HEAPS]
+        states = {sum(combo, ()) for k in (1, 2, 3) for combo in product(comps, repeat=k)}
+    else:
+        states = {octal._prepare(op, combo + BOTH)[0]
+                  for k in (1, 2, 3) for combo in product(HEAPS, repeat=k)}
     return sorted(states)
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.value)
 def test_successors_match_naive_on_heap_states(op):
-    moves = octal._scaled_moves(6)
+    _, (moves, scale, _) = octal._prepare(Operator.DISJUNCTIVE, BOTH)
+    assert (R007, R33_RATIONAL) in octal._gs_tables and scale == 6
     states = heap_states(op)
     assert any(len(set(s)) < len(s) for s in states)
     for state in states:
