@@ -4,7 +4,8 @@ Left maximizes and Right minimizes the net score (Left's total minus
 Right's).  Play ends the moment the player to move has no option; the
 score of the node reached is the final score.  `final_scores(g)` returns
 the pair (Left moving first, Right moving first), folded up the tree from
-its leaves by `game._postorder`, so a game of any depth evaluates.
+its leaves by `game._postorder`, so a game of any depth evaluates.  It
+folds over shapes, relative to their roots (see `game`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .game import GameId, _node, _postorder, _public
+from .game import GameId, Raw, _node, _pairs, _postorder, _public, left_options, right_options
 
 
 class FinalScores(NamedTuple):
@@ -36,19 +37,19 @@ _scores_memo: dict[GameId, FinalScores] = {}
 
 
 def final_scores(g: GameId) -> FinalScores:
-    _node(g)
-    sl, sr = _scores(g)
-    return FinalScores(_public(sl), _public(sr))
+    return _scores(*_node(g))
 
 
-def _scores(g: GameId) -> FinalScores:
-    """`final_scores` for a known id, with the scores in stored form."""
-    return _postorder(g, _best_replies, _scores_memo)
+def _scores(y: GameId, s: Raw) -> FinalScores:
+    """`final_scores` of the game of shape `y` at root score `s`."""
+    sl, sr = _postorder(y, _best_replies, _scores_memo)
+    return FinalScores(_public(sl + s), _public(sr + s))
 
 
-def _best_replies(left, s, right, memo) -> FinalScores:
-    return FinalScores(max(memo[x].sr for x in left) if left else s,
-                       min(memo[x].sl for x in right) if right else s)
+def _best_replies(left, right, memo) -> FinalScores:
+    """A shape's final scores relative to its root, from its options'."""
+    return FinalScores(max(d + memo[x].sr for d, x in _pairs(left)) if left else 0,
+                       min(d + memo[x].sl for d, x in _pairs(right)) if right else 0)
 
 
 def outcome_of_scores(scores: FinalScores) -> Outcome:
@@ -86,15 +87,11 @@ def best_line(g: GameId, first_player: str = "L") -> list[GameId]:
     line = [g]
     side = first_player
     while True:
-        left, _, right = _node(g)
-        options = left if side == "L" else right
+        options = left_options(g) if side == "L" else right_options(g)
         if not options:
             return line
-        if side == "L":
-            target = max(final_scores(x).sr for x in options)
-            g = next(x for x in options if final_scores(x).sr == target)
-        else:
-            target = min(final_scores(x).sl for x in options)
-            g = next(x for x in options if final_scores(x).sl == target)
+        # max and min keep the first of equal options
+        g = (max(options, key=lambda x: final_scores(x).sr) if side == "L"
+             else min(options, key=lambda x: final_scores(x).sl))
         line.append(g)
         side = "R" if side == "L" else "L"

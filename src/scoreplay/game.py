@@ -3,40 +3,38 @@
 A game is a node carrying a set of Left options, an exact rational score,
 and a set of Right options; options are games themselves.  Nodes are
 hash-consed in a process-global append-only store, so structurally equal
-trees always receive the same integer id.  Id equality *is* structural
-equality, which lets every other module memoize on plain ints.
+trees always receive the same integer id, and every other module
+memoizes on plain ints.
 
-Lookups key a node by its option ids, deduplicated and sorted as plain
-ints, so finding a node that already exists never compares trees.  Each
-new node also stores its options in a structural total order (score
-first, then Left options lexicographically, then Right options), computed
-once when it is interned; that stored order does not depend on
-construction order, and printed output is stable across runs.
+The store keeps each tree once up to translation.  A node keeps each
+option as a (delta, shape) pair: the option's score minus the node's, and
+the option's tree at root score 0.  A shape is itself a game: `_nodes[y]`
+of a shape is its (left, right) sides, each one flat tuple (delta, shape,
+delta, shape, ...), and `_nodes[g]` of any other game is (shape, score).
+Each entry is its own lookup key, but a shape is keyed by its sides
+sorted as plain numbers, so a lookup never compares trees.  `shift` is
+one intern.  Every engine operation commutes with a uniform shift, so the
+engine folds over shapes and memoizes on them.  Only the public surface
+sees absolute scores: `make_game`, `shift`, `score`, the option readers
+(which intern each option as it is read) and the text form.  A new shape
+stores its sides in the structural order of `_compare`, which is the
+order of the absolute option games, so printed output is stable.
 
-Ids are checked once, at the public API: `make_game`, `shift` and the
-accessors raise ValueError for an unknown id.  The engine's own builders
-hold ids that are known already; they read `_nodes[g]` directly and
-intern through `_make`, which takes option ids that are unique and
-sorted as ints and checks nothing.
+Ids are checked once, at the public API (`_node` raises ValueError).  The
+engine's builders hold known ids: they `_split` a game, read a shape's
+sides from `_nodes` and intern through `_shape` and `_scored`, which check
+nothing.  Builders that assemble a tree bottom up (the parser, the random
+generators) pass (shape, score) pairs between levels and intern only the
+root with its score.  Whole-tree walks and the builds over states share
+one post-order fold on an explicit stack, `_postorder`, and recursive
+generators run on another, `_unwind`: any depth works.
 
-Whole-tree walks (final scores, negate, reverse, shift, magnitudes, the
-sequential join, impartiality) and the builds over states (commutative
-sums, heap trees) share one post-order fold on an explicit stack,
-`_postorder`: any depth works, and each key is computed once, into a memo.
-Negate and shift keep their memos across calls, which later calls reuse;
-reverse and magnitudes fold into a dict of their own per call.  The
-shift memo is nested by amount, `_shift_memo[amount][g]`.  This module's
-other explicit stack, `_unwind`, runs builders that read input or draw in
-order (the parser, the random generators), written as recursive generators.
-
-Scores are exact rationals.  The store keeps each one in a canonical
-form: an `int` when the value is integral, a `fractions.Fraction` only
-otherwise, so the engine adds, hashes and compares integral scores as
-ints.  An int and a Fraction of equal value hash and compare equal, so a
-lookup finds the same node whichever form a caller passes.  The public
-API returns `Fraction` (`score`, `max_score_magnitude`, and `final_scores`
-and `eval_sum` elsewhere), through `_public`.  Floats and bools are
-rejected: this library is exact or it is nothing.
+Scores and deltas are stored in canonical form: an `int` when integral, a
+`fractions.Fraction` only otherwise, so integral scores add, hash and
+compare as ints.  An int and a Fraction of equal value hash and compare
+equal, so a lookup finds the same node whichever form a caller passes.
+The public API returns `Fraction`, through `_public`.  Floats and bools
+are rejected: this library is exact or it is nothing.
 
 Thread safety: insertions take a lock; everything else is pure reads of
 append-only structures, so races at worst recompute a memo entry.
@@ -47,6 +45,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 from typing import Callable, Generator, Iterable, Iterator, Union
 
 GameId = int
@@ -54,12 +53,15 @@ Score = Fraction
 ScoreLike = Union[int, str, Fraction]
 #: a score in the store's canonical form: int when integral, else Fraction
 Raw = Union[int, Fraction]
+#: options as (delta, shape) pairs, in any order, possibly repeated
+Pairs = Iterable[tuple[Raw, GameId]]
 
-_Node = tuple[tuple[GameId, ...], Raw, tuple[GameId, ...]]
+#: a shape's (left, right) sides, or a game's (shape, score)
+_Node = Union[tuple[tuple, tuple], tuple[GameId, Raw]]
 
 _lock = threading.Lock()
 _nodes: list[_Node] = []
-_index: dict[_Node, GameId] = {}
+_index: dict[tuple, GameId] = {}
 
 
 def as_score(value: ScoreLike) -> Fraction:
@@ -78,35 +80,57 @@ def _exact(value: ScoreLike) -> Raw:
     return value if type(value) is int else as_score(value)
 
 
+def _canonical(value: Raw) -> Raw:
+    """An exact value in the store's form: an int when it is integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def _public(value: Raw) -> Fraction:
     """A stored score as the public API returns it: always a Fraction."""
     return Fraction(value) if type(value) is int else value
 
 
-def _node(g: GameId) -> _Node:
+def _split(g: GameId) -> tuple[GameId, Raw]:
+    """A known game as (its shape, its root score)."""
+    node = _nodes[g]
+    return node if type(node[0]) is int else (g, 0)
+
+
+def _node(g: GameId) -> tuple[GameId, Raw]:
+    """`_split` for an id from outside, checked."""
     if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < len(_nodes):
         raise ValueError(f"unknown game id: {g!r}")
-    return _nodes[g]
+    return _split(g)
+
+
+def _pairs(side: tuple) -> Iterator[tuple[Raw, GameId]]:
+    """A side's flat (delta, shape, delta, shape, ...) tuple as pairs."""
+    it = iter(side)
+    return zip(it, it)
 
 
 def _compare(a: GameId, b: GameId) -> int:
-    """Structural total order on interned games.
+    """Structural total order on interned games: root score first, then the
+    shapes, Left side then Right side, each lexicographically as (delta,
+    shape) pairs.
 
     Only canonical (interned) nodes are ever compared, so two distinct ids
     always differ somewhere and the result is never 0 for a != b.  Equal
-    children share an id, so only the first differing pair is followed,
-    by a loop rather than a recursion: any depth compares.
+    children share an id, so only the first differing option pair is
+    followed, by a loop rather than a recursion: any depth compares.
     """
+    (a, sa), (b, sb) = _split(a), _split(b)
+    if sa != sb:
+        return -1 if sa < sb else 1
     while a != b:
-        la, sa, ra = _nodes[a]
-        lb, sb, rb = _nodes[b]
-        if sa != sb:
-            return -1 if sa < sb else 1
+        (la, ra), (lb, rb) = _nodes[a], _nodes[b]
         pair = None
         for xs, ys in ((la, lb), (ra, rb)):
-            for x, y in zip(xs, ys):
+            for i, (x, y) in enumerate(zip(xs, ys)):
                 if x != y:
-                    pair = x, y
+                    if i % 2 == 0:      # deltas sit at even places
+                        return -1 if x < y else 1
+                    pair = x, y         # equal deltas, different shapes
                     break
             if pair is not None:
                 break
@@ -119,14 +143,57 @@ def _compare(a: GameId, b: GameId) -> int:
 
 
 structural_sort_key = cmp_to_key(_compare)
+_option_key = cmp_to_key(lambda p, q: (p[0] > q[0]) - (p[0] < q[0]) or _compare(p[1], q[1]))
 
 
-def _option_ids(ids: Iterable[GameId]) -> tuple[GameId, ...]:
-    unique = set()
-    for g in ids:
-        _node(g)
-        unique.add(g)
-    return tuple(sorted(unique))
+def _flat(pairs: Pairs) -> tuple:
+    """Option pairs as one flat tuple, unique and sorted as plain numbers;
+    one pair or none needs no hashing or sorting."""
+    pairs = list(pairs)
+    return tuple(chain.from_iterable(sorted(set(pairs)) if len(pairs) > 1 else pairs))
+
+
+def _ordered(side: tuple) -> tuple:
+    """A flat side sorted by `_option_key`; one option is in order already."""
+    if len(side) <= 2:
+        return side
+    return tuple(chain.from_iterable(sorted(_pairs(side), key=_option_key)))
+
+
+def _shape(left: Pairs, right: Pairs) -> GameId:
+    """Intern the shape with these options, checking nothing: deltas are
+    stored in canonical form and sides in structural order."""
+    key = (_flat(left), _flat(right))
+    got = _index.get(key)
+    if got is None:
+        key = tuple(tuple(map(_canonical, side)) for side in key)
+        node = tuple(map(_ordered, key))
+        got = _intern(key, key if node == key else node)
+    return got
+
+
+def _scored(y: GameId, s: Raw) -> GameId:
+    """The game of shape `y` at root score `s`: one intern, checking nothing."""
+    s = _canonical(s)
+    if not s:
+        return y
+    key = (y, s)
+    got = _index.get(key)
+    return _intern(key, key) if got is None else got
+
+
+def _intern(key: tuple, node: _Node) -> GameId:
+    """The id of `key`, storing `node` for it if it is new: the one insertion."""
+    with _lock:
+        got = _index.get(key)
+        if got is None:
+            got = len(_nodes)
+            _nodes.append(node)
+            _index[key] = got
+        return got
+
+
+_LEAF = _shape((), ())
 
 
 def make_game(left: Iterable[GameId], score: ScoreLike, right: Iterable[GameId]) -> GameId:
@@ -135,30 +202,9 @@ def make_game(left: Iterable[GameId], score: ScoreLike, right: Iterable[GameId])
     Options are deduplicated and sorted; the same tree always comes back
     with the same id no matter how it was assembled.
     """
-    return _make(_option_ids(left), _exact(score), _option_ids(right))
-
-
-def _make(left: tuple[GameId, ...], s: Raw, right: tuple[GameId, ...]) -> GameId:
-    """`make_game` for option ids that are known, unique and sorted as ints.
-
-    The one interning path: it stores `s` in canonical form.
-    """
-    if s.denominator == 1:
-        s = s.numerator
-    key = (left, s, right)
-    got = _index.get(key)
-    if got is not None:
-        return got
-    with _lock:
-        got = _index.get(key)
-        if got is None:
-            node = (tuple(sorted(left, key=structural_sort_key)), s,
-                    tuple(sorted(right, key=structural_sort_key)))
-            got = len(_nodes)
-            # share the key's tuples when the id and structural orders agree
-            _nodes.append(key if node == key else node)
-            _index[key] = got
-        return got
+    s = _canonical(_exact(score))
+    left, right = ([(t - s, y) for y, t in map(_node, ids)] for ids in (left, right))
+    return _scored(_shape(left, right), s)
 
 
 def number(score: ScoreLike) -> GameId:
@@ -167,11 +213,13 @@ def number(score: ScoreLike) -> GameId:
 
 
 def left_options(g: GameId) -> tuple[GameId, ...]:
-    return _node(g)[0]
+    y, s = _node(g)
+    return tuple(_scored(x, s + d) for d, x in _pairs(_nodes[y][0]))
 
 
 def right_options(g: GameId) -> tuple[GameId, ...]:
-    return _node(g)[2]
+    y, s = _node(g)
+    return tuple(_scored(x, s + d) for d, x in _pairs(_nodes[y][1]))
 
 
 def score(g: GameId) -> Fraction:
@@ -179,30 +227,29 @@ def score(g: GameId) -> Fraction:
 
 
 def is_leaf(g: GameId) -> bool:
-    left, _, right = _node(g)
-    return not left and not right
+    return _node(g)[0] == _LEAF
 
 
 def store_size() -> int:
-    """Number of interned nodes (diagnostic)."""
+    """Number of interned nodes, shapes and scored games alike (diagnostic)."""
     return len(_nodes)
 
 
 _negate_memo: dict[GameId, GameId] = {}
-_shift_memo: dict[Raw, dict[GameId, GameId]] = {}
 
 
-def _options(g: GameId) -> tuple[_Node, Iterator[GameId]]:
-    node = _nodes[g]
-    return node, iter(node[0] + node[2])
+def _options(y: GameId) -> tuple[tuple, Iterator[GameId]]:
+    left, right = node = _nodes[y]
+    return node, iter(left[1::2] + right[1::2])
 
 
 def _postorder(key, combine: Callable[..., object], memo: dict, expand=_options):
     """Fold the DAG below `key` bottom up, on an explicit stack.
 
     `expand(key)` gives (args, an iterator over its children), by default a
-    node's fields and options.  A key missing from `memo` gets `memo[key] =
-    combine(*args, memo)` once its children have entries; no value may be None.
+    shape's two sides and its option shapes.  A key missing from `memo`
+    gets `memo[key] = combine(*args, memo)` once its children have entries;
+    no value may be None.
     """
     got = memo.get(key)
     if got is not None:
@@ -243,16 +290,17 @@ def _unwind(build: Generator):
             got = None
 
 
-def _mapped(options: tuple[GameId, ...], memo: dict[GameId, GameId]) -> tuple[GameId, ...]:
-    """The options' images under an injective map, unique and sorted as ints."""
-    return tuple(sorted([memo[x] for x in options]))
+def _flipped(side: tuple, memo: dict[GameId, GameId]) -> list[tuple[Raw, GameId]]:
+    """A side's pairs with each delta negated and each shape mapped by `memo`."""
+    return [(-d, memo[y]) for d, y in _pairs(side)]
 
 
 def negate(g: GameId) -> GameId:
-    """Swap the players and negate every score.  An involution."""
-    _node(g)
-    return _postorder(g, lambda left, s, right, memo: _make(
-        _mapped(right, memo), -s, _mapped(left, memo)), _negate_memo)
+    """Swap the players and negate every score.  An involution, which maps
+    shapes to shapes."""
+    y, s = _node(g)
+    return _scored(_postorder(y, lambda left, right, memo: _shape(
+        _flipped(right, memo), _flipped(left, memo)), _negate_memo), -s)
 
 
 def reverse(g: GameId) -> GameId:
@@ -261,36 +309,23 @@ def reverse(g: GameId) -> GameId:
     Unlike `negate` this does not swap sides: reverse({4|3|2}) = {-4|-3|-2}
     while negate({4|3|2}) = {-2|-3|-4}.  Also an involution.
     """
-    _node(g)
-    return _postorder(g, lambda left, s, right, memo: _make(
-        _mapped(left, memo), -s, _mapped(right, memo)), {})
+    y, s = _node(g)
+    return _scored(_postorder(y, lambda left, right, memo: _shape(
+        _flipped(left, memo), _flipped(right, memo)), {}), -s)
 
 
 def shift(g: GameId, amount: ScoreLike) -> GameId:
     """Add `amount` to the score of every node in the tree."""
     c = _exact(amount)
-    _node(g)
-    return _shift(g, c)
-
-
-def _shift(g: GameId, c: Raw) -> GameId:
-    """`shift` for a known id and an exact amount, taken in canonical form."""
-    if not c:
-        return g
-    if c.denominator == 1:
-        c = c.numerator
-    memo = _shift_memo.get(c)
-    if memo is None:
-        memo = _shift_memo.setdefault(c, {})
-    got = memo.get(g)
-    if got is None:
-        got = _postorder(g, lambda left, s, right, memo: _make(
-            _mapped(left, memo), s + c, _mapped(right, memo)), memo)
-    return got
+    y, s = _node(g)
+    return _scored(y, s + c)
 
 
 def max_score_magnitude(g: GameId) -> Fraction:
     """Largest |score| over all nodes of the tree."""
-    _node(g)
-    return _public(_postorder(g, lambda left, s, right, memo: max(
-        [abs(s)] + [memo[x] for x in left + right]), {}))
+    y, s = _node(g)
+    # each shape folds to the (lowest, highest) score below it, relative to its root
+    lo, hi = _postorder(y, lambda left, right, memo: (
+        min([0] + [d + memo[x][0] for d, x in _pairs(left + right)]),
+        max([0] + [d + memo[x][1] for d, x in _pairs(left + right)])), {})
+    return _public(max(abs(s + lo), abs(s + hi)))

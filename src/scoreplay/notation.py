@@ -8,7 +8,8 @@ Game grammar (whitespace never matters):
 
 The parser's methods are these productions: `game` and `options` are
 generators that yield each sub-game and run on `game._unwind`, so no
-nesting depth is too deep.  Digits are the ASCII 0-9 only.
+nesting depth is too deep; they pass sub-games up as (shape, score)
+pairs (see `game`).  Digits are the ASCII 0-9 only.
 
 A bare rational is the game with that score and no moves, and is also how
 such games print: parse("{.|5|.}") formats back as "5".  The dot is the
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Generator, Iterable
 
-from .game import GameId, _node, _nodes, _unwind, make_game
+from .game import GameId, _LEAF, _node, _nodes, _pairs, _scored, _shape, _unwind
 from .octal import OctalRuleset
 
 
@@ -98,7 +99,7 @@ class _Parser:
         if c != "{":
             if c not in _DIGITS and c not in ("+", "-"):
                 self.error("expected a game")
-            return make_game((), self.rational(), ())
+            return _LEAF, self.rational()
         self.pos += 1
         left = yield self.options()
         self.take("|")
@@ -110,7 +111,7 @@ class _Parser:
         self.pos += 1
         right = yield self.options()
         self.take("}")
-        return make_game(left, s, right)
+        return _shape([(t - s, y) for y, t in left], [(t - s, y) for y, t in right]), s
 
     def options(self) -> Generator:
         """options := '.' | game (',' game)*"""
@@ -130,11 +131,11 @@ class _Parser:
 def parse_game(text: str) -> GameId:
     """Parse one game; raises NotationError with a position on bad input."""
     p = _Parser(text)
-    g = _unwind(p.game())
+    y, s = _unwind(p.game())
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input after the game")
-    return g
+    return _scored(y, s)
 
 
 def format_score(value: Fraction) -> str:
@@ -144,32 +145,33 @@ def format_score(value: Fraction) -> str:
 def format_game(g: GameId) -> str:
     """Canonical text for a game; round-trips through parse_game.
 
-    Written from a stack of pending text and ids, so any depth prints.
+    Written from a stack of pending text and (shape, score) pairs, so any
+    depth prints.
     """
-    _node(g)
     out = []
-    stack: list = [g]
+    stack: list = [_node(g)]
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
             continue
-        left, s, right = _nodes[item]
+        y, s = item
+        left, right = _nodes[y]
         if left or right:
-            stack += reversed(["{", *_listed(left), f"|{format_score(s)}|", *_listed(right), "}"])
+            stack += reversed(["{", *_listed(left, s), f"|{format_score(s)}|",
+                               *_listed(right, s), "}"])
         else:
             out.append(format_score(s))
     return "".join(out)
 
 
-def _listed(options: tuple[GameId, ...]) -> list:
-    """An option list as `format_game` writes it: ids between commas, or '.'."""
-    if not options:
-        return ["."]
-    items = [options[0]]
-    for x in options[1:]:
-        items += [",", x]
-    return items
+def _listed(side: tuple, s) -> list:
+    """A side as `format_game` writes it under a node of score `s`:
+    (shape, score) pairs between commas, or '.'."""
+    items = []
+    for d, y in _pairs(side):
+        items += [",", (y, s + d)]
+    return items[1:] or ["."]
 
 
 def parse_game_lines(text: str | Iterable[str]) -> list[GameId]:

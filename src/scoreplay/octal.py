@@ -30,8 +30,9 @@ one table of `_gs_tables`, keyed on the position's rulesets: the scale,
 each heap's scaled moves, built once, and each operator's memo.
 `_negamax` is the engine's last recursion, a frame a ply; `heap_game`
 folds (operator, ruleset, size) keys by `game._postorder`, so its trees
-build at any depth.  Heap sizes must be ints; nothing is truncated into
-another heap.
+build at any depth.  A heap tree is a shape (see `game`): a move worth p
+is the option (p, part) for Left and (-p, part) for Right.  Heap sizes
+must be ints; nothing is truncated into another heap.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .game import GameId, _postorder, as_score, number, make_game, shift
+from .game import GameId, _LEAF, _postorder, _shape, as_score
 from .operators import Moves, Operator, _check_op, _successors, sum_games
 
 
@@ -280,13 +281,9 @@ def _heap_parts(key: tuple[Operator, OctalRuleset, int]) -> tuple[tuple, Iterato
 
 
 def _heap_tree(op: Operator, moves: list, memo: dict) -> GameId:
-    lefts, rights = [], []
-    for p, parts in moves:
-        sub = (number(0) if not parts else memo[parts[0]] if len(parts) == 1
-               else sum_games(op, [memo[part] for part in parts]))
-        lefts.append(shift(sub, p))
-        rights.append(shift(sub, -p))
-    return make_game(lefts, 0, rights)
+    lefts = [(p, _LEAF if not parts else memo[parts[0]] if len(parts) == 1
+              else sum_games(op, [memo[part] for part in parts])) for p, parts in moves]
+    return _shape(lefts, [(-p, sub) for p, sub in lefts])
 
 
 def value_table(op: Operator, rules: OctalRuleset, n_max: int,

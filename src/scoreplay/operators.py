@@ -15,23 +15,25 @@ the player to move must touch:
   the game ends on their turn) even if later components could help them.
 
 Composite scores are the sum of component scores at every node, so play
-ending at any point pays out the sum of wherever each component stopped.
+ending at any point pays out the sum of wherever each component stopped,
+and a composite is that of the components' shapes (see `game`), shifted
+by the sum of their scores: composites are built and memoized on shapes.
 
 `sum_games` materializes the composite as an ordinary interned tree,
 and `eval_sum` reads its final scores, so a tree sum has one code path.
 `_successors` is the one place that knows the four move rules: the
 commutative composites expand by it, and so do heap positions in
 `octal.grundy_value`.  The sequential composite is a chain of binary
-joins, each a fold over the head's tree, so a component of any depth sums.
+joins, each a fold over the head's shape, so a component of any depth sums.
 
 A commutative composite is a fold of `game._postorder` over states, a
 state's children being its successor states, so a sum of any depth
-builds.  Components are sorted once, at the public call, and successors
-come back sorted, so the composite memo keys on the raw state, leaves
-included: a successor edge costs one lookup.  Leaves are folded only on
-a miss.  A sum of one game is that game, shifted by the leaves beside
-it, under every operator; `_composite` returns it unexpanded.  That is
-for speed, not depth: a lone game is never played out move by move.
+builds.  A state is its components' sorted shapes: a leaf has no move,
+so like a dead heap it drops out, and successors come back sorted and
+leafless, so a successor edge costs one memo lookup.  A state of one
+shape is that shape under every operator; `_composite` returns it
+unexpanded.  That is for speed, not depth: a lone game is never played
+out move by move.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
 from .evaluate import FinalScores, _scores
-from .game import GameId, Raw, _make, _node, _nodes, _postorder, _public, _shift
+from .game import GameId, Raw, _LEAF, _node, _nodes, _pairs, _postorder, _scored, _shape
 
 
 class Operator(Enum):
@@ -62,7 +64,7 @@ class Operator(Enum):
         raise ValueError(f"unknown operator: {text!r}")
 
 
-#: a component's moves as (points, parts) pairs, points being mover-relative
+#: a component's moves as (points, parts) pairs (see `_successors`)
 Moves = Callable[[object], Sequence[tuple[Raw, tuple]]]
 
 
@@ -75,13 +77,13 @@ def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> list[
     `state` is a canonical tuple of components: sorted for the commutative
     operators, in play order for the sequential one, and successors come
     back in the same form.  Components are ints for trees and heaps alike,
-    interned game ids or heaps as `octal._prepare` numbers them, so a state
+    interned shapes or heaps as `octal._prepare` numbers them, so a state
     hashes, compares and sorts as a flat tuple of ints.  `moves(c)` lists
     the mover's options in component c as (points, parts) pairs: `parts`
-    replace c, and `points`, the mover's gain, are scaled ints for heaps
-    and 0 for trees, whose nodes carry their scores.  `groups` caches the choices of
-    each run of equal components by (component, count); share it only
-    between calls with the same `op` and `moves`.
+    replace c, dead ones left out, and `points` is what the move scores: a
+    heap mover's gain as a scaled int, or a tree option's delta.  `groups`
+    caches the choices of each run of equal components by (component,
+    count); share it only between calls with the same `op` and `moves`.
     """
     if op is Operator.SEQUENTIAL:
         rest = state[1:]
@@ -109,7 +111,9 @@ def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> list[
         key = (c, count)
         choices = groups.get(key)
         if choices is None:
-            best: dict[tuple, int] = {}
+            # distinct (parts, points), in first-found order: trees need each
+            # one, since equal parts at other points are other options
+            found: dict[tuple, None] = {}
             opts = moves(c)
             if opts:
                 for j in range(count if everyone else 0, count + 1):
@@ -120,11 +124,8 @@ def _successors(op: Operator, state: tuple, moves: Moves, groups: dict) -> list[
                         for q, chunk in picked:
                             pts += q
                             parts += chunk
-                        parts = tuple(sorted(parts))
-                        prev = best.get(parts)
-                        if prev is None or pts > prev:
-                            best[parts] = pts
-            choices = groups[key] = tuple((pts, parts) for parts, pts in best.items())
+                        found[tuple(sorted(parts)), pts] = None
+            choices = groups[key] = tuple((pts, parts) for parts, pts in found)
         if choices:
             per_group.append(choices)
         else:
@@ -152,22 +153,11 @@ def _check_op(op) -> None:
         raise TypeError(f"expected an Operator, got {type(op).__name__} {op!r}")
 
 
-def _state(op: Operator, games: Iterable[GameId]) -> tuple[GameId, ...]:
-    """The checked components as a canonical state (see `_successors`)."""
-    _check_op(op)
-    comps = tuple(games)
-    if not comps:
-        raise ValueError("a sum needs at least one component")
-    for g in comps:
-        _node(g)
-    return comps if op is Operator.SEQUENTIAL else tuple(sorted(comps))
-
-
-#: Tree components as `_composite` builds on them: a move replaces the
-#: component by one of the mover's options and scores nothing by itself.
+#: Shapes as `_composite` builds on them: a move replaces the component by
+#: the option's shape, the leaf shape left out, and adds the option's delta.
 _TREE_MOVES = {
-    "L": lambda g: tuple((0, (o,)) for o in _nodes[g][0]),
-    "R": lambda g: tuple((0, (o,)) for o in _nodes[g][2]),
+    "L": lambda y: tuple((d, (x,) if x != _LEAF else ()) for d, x in _pairs(_nodes[y][0])),
+    "R": lambda y: tuple((d, (x,) if x != _LEAF else ()) for d, x in _pairs(_nodes[y][1])),
 }
 
 
@@ -176,42 +166,24 @@ _build_memo: dict[Operator, dict[tuple[GameId, ...], GameId]] = {
 
 
 def _composite(op: Operator, state: tuple[GameId, ...], memo: dict) -> GameId:
-    """Composite tree of the sorted `state` under a commutative `op`.
-
-    `memo` is `_build_memo[op]`, keyed on the state as it comes, leaves
-    and all: successor states are sorted already, so a hit costs one
-    lookup.  Leaves fold into a shift of the composite of the rest.
-    """
+    """Composite shape of the sorted, leafless shapes `state` under a
+    commutative `op`.  `memo` is `_build_memo[op]`."""
     got = memo.get(state)
     if got is not None:
         return got
 
     def expand(state):
-        folded = 0      # leaves only add their score
-        core = []
-        for g in state:
-            left, s, right = _nodes[g]
-            if left or right:
-                core.append(g)
-            else:
-                folded += s
-        core = tuple(core)
-        if len(core) < 2:
-            return (folded, core, (), ()), iter(())
-        if folded:
-            return (folded, core, (), ()), iter((core,))
-        lefts = [ms for ms, _ in _successors(op, core, _TREE_MOVES["L"], {})]
-        rights = [ms for ms, _ in _successors(op, core, _TREE_MOVES["R"], {})]
-        return (0, core, lefts, rights), iter(lefts + rights)
+        if len(state) < 2:
+            return (state, (), ()), iter(())
+        lefts = _successors(op, state, _TREE_MOVES["L"], {})
+        rights = _successors(op, state, _TREE_MOVES["R"], {})
+        return (state, lefts, rights), (ms for ms, _ in lefts + rights)
 
-    def combine(folded, core, lefts, rights, memo):
-        if len(core) < 2:
-            # a sum of one game is that game
-            return _shift(core[0], folded) if core else _make((), folded, ())
-        if folded:
-            return _shift(memo[core], folded)
-        return _make(tuple(sorted({memo[ms] for ms in lefts})), sum(_nodes[g][1] for g in core),
-                     tuple(sorted({memo[ms] for ms in rights})))
+    def combine(state, lefts, rights, memo):
+        if len(state) < 2:
+            return state[0] if state else _LEAF
+        return _shape([(pts, memo[ms]) for ms, pts in lefts],
+                      [(pts, memo[ms]) for ms, pts in rights])
 
     return _postorder(state, combine, memo, expand)
 
@@ -220,30 +192,41 @@ _seq_join_memo: dict[GameId, dict[GameId, GameId]] = {}
 
 
 def _seq_join(g: GameId, h: GameId) -> GameId:
-    """Binary sequential join: play g out, then h, scores accumulating."""
+    """Binary sequential join of shapes: play g out, then h."""
     memo = _seq_join_memo.setdefault(h, {})     # nested by h, keyed on g
     got = memo.get(g)
     if got is None:
-        def join(left, s, right, memo):
+        def join(left, right, memo):
             if not left and not right:
-                return _shift(h, s)
-            return _make(tuple(sorted({memo[x] for x in left})), s + _nodes[h][1],
-                         tuple(sorted({memo[x] for x in right})))
+                return h
+            return _shape([(d, memo[x]) for d, x in _pairs(left)],
+                          [(d, memo[x]) for d, x in _pairs(right)])
         got = _postorder(g, join, memo)
     return got
 
 
-def sum_games(op: Operator, games: Iterable[GameId]) -> GameId:
-    """Combine games under `op` into a single interned tree."""
-    state = _state(op, games)
+def _sum(op: Operator, games: Iterable[GameId]) -> tuple[GameId, Raw]:
+    """The composite of the checked `games` as its shape and root score."""
+    _check_op(op)
+    comps = [_node(g) for g in games]
+    if not comps:
+        raise ValueError("a sum needs at least one component")
+    shapes = [y for y, _ in comps]
     if op is Operator.SEQUENTIAL:
         # binary join, not _composite: that ran sequential heap_game sums 2.6x slower (GC)
         # right-associated: [a, b, c] becomes a |> (b |> c)
-        return reduce(lambda acc, g: _seq_join(g, acc), reversed(state[:-1]), state[-1])
-    return _composite(op, state, _build_memo[op])
+        y = reduce(lambda acc, x: _seq_join(x, acc), reversed(shapes[:-1]), shapes[-1])
+    else:
+        y = _composite(op, tuple(sorted(x for x in shapes if x != _LEAF)), _build_memo[op])
+    return y, sum(s for _, s in comps)
+
+
+def sum_games(op: Operator, games: Iterable[GameId]) -> GameId:
+    """Combine games under `op` into a single interned tree."""
+    return _scored(*_sum(op, games))
 
 
 def eval_sum(op: Operator, games: Iterable[GameId]) -> FinalScores:
-    """Final scores of the composite: final_scores(sum_games(op, games))."""
-    sl, sr = _scores(sum_games(op, games))
-    return FinalScores(_public(sl), _public(sr))
+    """Final scores of the composite: final_scores(sum_games(op, games)),
+    without interning the composite's root at its score."""
+    return _scores(*_sum(op, games))

@@ -3,10 +3,11 @@
 An impartial game here is one where, at every node, the two players'
 options mirror each other relative to the node score: for each Left
 option there is a Right option that is its exact negation after shifting
-the node score away, and vice versa.  Impartial games with zero scores
-everywhere relative to the root are their own negatives, which is what
-makes `reverse` (flip scores, keep sides) act as an inverse for the
-conjunctive operator while plain `negate` does not.
+the node score away, and vice versa: on shapes (see `game`), each Left
+option (d, y) has the Right option (-d, negate(y)).  Impartial games
+with zero scores everywhere relative to the root are their own
+negatives, which is what makes `reverse` (flip scores, keep sides) act
+as an inverse for the conjunctive operator while plain `negate` does not.
 
 The searches in this module are deliberately bounded and deterministic:
 they enumerate candidates in a fixed canonical order under explicit depth
@@ -24,24 +25,18 @@ from itertools import combinations
 from typing import Generator, Iterator, Optional, Sequence
 
 from .evaluate import Outcome, outcome, outcome_of_scores
-from .game import (GameId, _node, _postorder, _shift, _unwind, as_score, is_leaf,
-                   left_options, make_game, max_score_magnitude, negate, number,
-                   reverse, score, shift)
+from .game import (GameId, _LEAF, _canonical, _node, _pairs, _postorder, _scored, _shape, _unwind,
+                   as_score, is_leaf, left_options, make_game, max_score_magnitude,
+                   negate, number, reverse, score, shift)
 from .notation import format_game
 from .operators import Operator, eval_sum, sum_games
 
 
 def is_impartial(g: GameId) -> bool:
     """Whether both players have mirrored options at every node."""
-    _node(g)
-    return _postorder(g, lambda left, s, right, memo: all(memo[x] for x in left + right)
-                      and set(left) == {_mirror(x, s) for x in right}, {})
-
-
-def _mirror(x: GameId, s) -> GameId:
-    """The option on the other side paired with `x` under a node score `s`:
-    sides swap and each score t becomes 2s - t.  An involution."""
-    return _shift(negate(x), 2 * s)
+    return _postorder(_node(g)[0], lambda left, right, memo: all(
+        memo[x] for x in left[1::2] + right[1::2])
+        and set(_pairs(left)) == {(-d, negate(y)) for d, y in _pairs(right)}, {})
 
 
 @dataclass(frozen=True)
@@ -73,36 +68,40 @@ def random_impartial(params: ImpartialParams, rng: Optional[random.Random] = Non
     Pass an rng to draw a stream; otherwise params.seed fixes the game.
     """
     rng = rng or random.Random(params.seed)
+    palette = [_canonical(p) for p in params.palette]   # the same draws, as ints if integral
 
-    def build(depth: int, s: Fraction) -> Generator:
+    def build(depth: int) -> Generator:
+        """The drawn shape: the increments do not depend on the score."""
         if depth <= 0 or rng.random() < params.leaf_probability:
-            return number(s)
-        lefts, rights = [], []
+            return _LEAF
+        lefts = []
         for _ in range(rng.randint(1, params.max_branch)):
-            p = rng.choice(params.palette)
-            gl = yield build(depth - 1, s + p)
-            lefts.append(gl)
-            rights.append(_mirror(gl, s))
-        return make_game(lefts, s, rights)
+            p = rng.choice(palette)
+            lefts.append((p, (yield build(depth - 1))))
+        return _shape(lefts, [(-p, negate(y)) for p, y in lefts])
 
-    return _unwind(build(params.max_depth, rng.choice(params.palette)))
+    s = rng.choice(palette)     # the root score is the stream's first draw
+    return _scored(_unwind(build(params.max_depth)), s)
 
 
 def random_game(params: ImpartialParams, rng: Optional[random.Random] = None) -> GameId:
     """A random unconstrained game; node scores drawn from the palette."""
     rng = rng or random.Random(params.seed)
+    palette = [_canonical(p) for p in params.palette]
 
     def build(depth: int) -> Generator:
-        s = rng.choice(params.palette)
+        """The drawn (shape, score) pair."""
+        s = rng.choice(palette)
         if depth <= 0 or rng.random() < params.leaf_probability:
-            return number(s)
+            return _LEAF, s
         lefts, rights = [], []
         for side in (lefts, rights):
             for _ in range(rng.randint(0, params.max_branch)):
-                side.append((yield build(depth - 1)))
-        return make_game(lefts, s, rights)
+                y, t = yield build(depth - 1)
+                side.append((t - s, y))
+        return _shape(lefts, rights), s
 
-    return _unwind(build(params.max_depth))
+    return _scored(*_unwind(build(params.max_depth)))
 
 
 def identity_game() -> GameId:
@@ -114,8 +113,9 @@ def identity_game() -> GameId:
 
 def _single_line(g: GameId) -> bool:
     """At most one option per side everywhere: play is one forced line."""
-    return _postorder(g, lambda left, s, right, memo: len(left) <= 1 and len(right) <= 1
-                      and all(memo[x] for x in left + right), {})
+    # a side is a flat (delta, shape) tuple: one option is two entries
+    return _postorder(_node(g)[0], lambda left, right, memo: len(left) <= 2 and len(right) <= 2
+                      and all(memo[x] for x in left[1::2] + right[1::2]), {})
 
 
 def conjunctive_inverse(g: GameId) -> GameId:
@@ -230,18 +230,7 @@ def _context_stream(g: GameId, h: GameId, depth: int, branching: int,
     sweep stays impartial; the partizan traps come last so they are only
     consulted once the symmetric candidates are spent.
     """
-    pool = [number(s) for s in palette]
-    yield from pool
-    for _ in range(1, depth + 1):
-        grown = []
-        for s in palette:
-            for k in range(1, branching + 1):
-                for lefts in combinations(pool, k):
-                    rights = [_mirror(x, s) for x in lefts]
-                    built = make_game(lefts, s, rights)
-                    grown.append(built)
-                    yield built
-        pool = pool + grown
+    yield from _impartial_trees(palette, depth, branching, lambda pool, s: pool)
     magnitude = max(Fraction(1), max_score_magnitude(g), max_score_magnitude(h))
     yield _trap(magnitude, True)
     yield _trap(magnitude, False)
@@ -277,35 +266,32 @@ def distinguishing_context(g: GameId, h: GameId, op: Operator, depth: int = 3,
     return None
 
 
+def _impartial_trees(scores: Sequence[Fraction], depth: int, branching: int,
+                     options) -> Iterator[GameId]:
+    """Leaves at `scores`, then `depth` rounds of impartial trees: at each
+    score s, every set of 1 to `branching` Left options out of
+    `options(pool, s)`, the pool holding the earlier trees, each mirrored."""
+    pool = [number(s) for s in scores]
+    yield from pool
+    for _ in range(depth):
+        grown = []
+        for s in scores:
+            for k in range(1, branching + 1):
+                for lefts in combinations(options(pool, s), k):
+                    grown.append(make_game(lefts, s, [shift(negate(x), 2 * s) for x in lefts]))
+                    yield grown[-1]
+        pool = pool + grown
+
+
 def _impartial_stream(g: GameId, depth: int, branching: int) -> Iterator[GameId]:
-    """Impartial candidates in canonical order, sized to `g`'s scores."""
+    """Impartial candidates in canonical order, sized to `g`'s scores: the
+    options at score s are the earlier trees shifted to s + p for small p."""
     magnitude = math.ceil(max_score_magnitude(g)) + 1
     scores = sorted((Fraction(s) for s in range(-magnitude, magnitude + 1)),
                     key=lambda s: (abs(s), s))
     increments = (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
-    pool: list[GameId] = []
-    for s in scores:
-        leaf = number(s)
-        pool.append(leaf)
-        yield leaf
-    for _ in range(1, depth + 1):
-        grown = []
-        for s in scores:
-            options: list[GameId] = []
-            seen: set[GameId] = set()
-            for base in pool:
-                for p in increments:
-                    opt = shift(base, s + p - score(base))
-                    if opt not in seen:
-                        seen.add(opt)
-                        options.append(opt)
-            for k in range(1, branching + 1):
-                for lefts in combinations(options, k):
-                    rights = [_mirror(x, s) for x in lefts]
-                    built = make_game(lefts, s, rights)
-                    grown.append(built)
-                    yield built
-        pool = pool + grown
+    return _impartial_trees(scores, depth, branching, lambda pool, s: list(dict.fromkeys(
+        shift(base, s + p - score(base)) for base in pool for p in increments)))
 
 
 _probes: Optional[tuple[GameId, ...]] = None

@@ -21,7 +21,8 @@ import scoreplay
 from scoreplay import (FinalScores, ImpartialParams, Operator, conjunctive_inverse,
                        eval_sum, final_scores, format_game, is_impartial, make_game,
                        max_score_magnitude, negate, number, outcome_of_scores,
-                       parse_game, random_impartial, reverse, shift, sum_games)
+                       parse_game, random_impartial, reverse, score, shift, store_size,
+                       sum_games)
 from scoreplay.notation import format_score
 
 BOTTOM = 3      # score of the leaf at the end of every line
@@ -170,6 +171,19 @@ def test_eval_sum_reads_a_lone_deep_component(op, where):
     assert eval_sum(op, comps) == FinalScores(want.sl + by, want.sr + by)
 
 
+def test_shift_is_one_intern():
+    # the store keeps each tree once up to translation, so a shifted line
+    # shares every node below its root: one new node, however deep
+    depth, c = 10 ** 5, Fraction(1, 3)
+    line = _line(depth)
+    _, want = _final_scores(depth)
+    before = store_size()
+    moved = shift(line, c)
+    assert store_size() - before <= 1
+    assert score(moved) == _level(0)[0] + c
+    assert final_scores(moved) == FinalScores(want.sl + c, want.sr + c)
+
+
 @contextmanager
 def _deadline(seconds):
     """Raise TimeoutError in the block once it has run for `seconds`."""
@@ -231,14 +245,29 @@ def test_cold_heap_game_at_1500_beans_finishes():
 
 
 def test_drifting_impartial_ladder_interns_few_nodes():
-    # the drawn game itself has about 9,300 distinct nodes; a mirror that
-    # shifts away, negates and shifts back interns about twice as many
+    # the drawn game has about 9,300 distinct scored nodes, but one shape a
+    # level: an impartial shape is its own negative, so a mirror adds none,
+    # and only the root is interned with its score
     code = ("from scoreplay import ImpartialParams, random_impartial, store_size\n"
             "before = store_size()\n"
             "random_impartial(ImpartialParams(max_depth=125, max_branch=1,\n"
             "                                 leaf_probability=0, seed=1))\n"
             "print(store_size() - before)\n")
-    assert int(_fresh("-c", code)) <= 12_000
+    assert int(_fresh("-c", code)) <= 126
+
+
+def test_is_impartial_on_a_drifting_ladder_finishes_fast():
+    # a check that shifts each node's mirrored options by twice its score
+    # walks every subtree again at each level, since the scores drift:
+    # cubic, 13 s or more at this depth.  On shapes it is one walk.
+    code = ("import time\n"
+            "from scoreplay import ImpartialParams, is_impartial, random_impartial\n"
+            "g = random_impartial(ImpartialParams(max_depth=250, max_branch=1,\n"
+            "                                     leaf_probability=0, seed=1))\n"
+            "start = time.perf_counter()\n"
+            "print(is_impartial(g), time.perf_counter() - start)\n")
+    verdict, seconds = _fresh("-c", code).split()
+    assert verdict == "True" and float(seconds) < 2
 
 
 def test_cli_sums_a_deep_line(tmp_path):

@@ -21,7 +21,8 @@ from scoreplay import (Operator, final_scores, left_options, make_game, negate,
                        reverse, right_options, shift, sum_games)
 
 STEPS = ("make", "shift", "negate", "reverse", "sum", "options")
-AMOUNTS = st.sampled_from((Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(1), Fraction(5, 2)))
+AMOUNTS = st.sampled_from(
+    (Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(1), Fraction(5, 2)))
 
 
 def _canonical(left, s, right):

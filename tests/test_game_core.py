@@ -1,5 +1,7 @@
 """Interned tree construction and the three structural transforms."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from scoreplay import (FinalScores, Operator, eval_sum, final_scores,
                        max_score_magnitude, negate, number, parse_game,
                        reverse, right_options, score, shift, store_size,
                        structural_sort_key, sum_games)
-from scoreplay.game import _nodes
+from scoreplay.game import _index, _nodes, _split
 
 
 def test_number_is_leaf():
@@ -178,7 +180,27 @@ def test_stored_order_is_structural_not_interning_order():
 # -- canonical stored form of scores ------------------------------------------
 
 def _raw_score(g):
-    return _nodes[g][1]
+    return _split(g)[1]
+
+
+def _stored_values(g):
+    """The stored score of `g` and every delta stored in the shapes below it."""
+    yield _raw_score(g)
+    seen, stack = set(), [_split(g)[0]]
+    while stack:
+        left, right = _nodes[stack.pop()]
+        for i, v in enumerate(left + right):
+            if i % 2 == 0:
+                yield v
+            elif v not in seen:
+                seen.add(v)
+                stack.append(v)
+
+
+def _assert_canonical(g):
+    """Every stored score and delta below `g` is an int iff it is integral."""
+    for v in _stored_values(g):
+        assert type(v) is (int if v.denominator == 1 else Fraction)
 
 
 def test_integral_scores_are_stored_as_ints_and_intern_once():
@@ -191,6 +213,7 @@ def test_integral_scores_are_stored_as_ints_and_intern_once():
     for same in (twos, ones, inner):
         assert len(set(same)) == 1
         assert type(_raw_score(same[0])) is int
+        _assert_canonical(same[0])
     size = store_size()
     assert number(Fraction(2)) == twos[0] and number("2/2") == ones[0]
     assert make_game([number(0)], Fraction(3), []) == inner[0]
@@ -202,6 +225,19 @@ def test_fractional_scores_stay_fractions_in_the_store():
     assert type(_raw_score(g)) is Fraction
     assert type(_raw_score(shift(g, 1))) is Fraction
     assert type(_raw_score(shift(g, "1/2"))) is int
+    # deltas: 3/2 - 1/2 is stored as the int 1, 3/2 - 2/3 as a Fraction
+    h = make_game([number("1/2"), number("2/3")], "3/2", [parse_game("{5/2|3|.}")])
+    assert sorted(_stored_values(h)) == [
+        -1, Fraction(-5, 6), Fraction(-1, 2), Fraction(3, 2), Fraction(3, 2)]
+    for x in (g, h, negate(h), reverse(h), shift(h, "1/2")) + tuple(
+            sum_games(op, [h, h, g]) for op in Operator):
+        _assert_canonical(x)
+
+
+@given(games_st())
+def test_stored_scores_and_deltas_are_canonical(g):
+    for x in (g, negate(g), reverse(g), shift(g, "1/3"), shift(g, "2/3")):
+        _assert_canonical(x)
 
 
 def test_public_api_returns_fractions():
@@ -227,3 +263,35 @@ def test_compare_has_no_depth_limit():
     a, b = _line(10 ** 4, 1), _line(10 ** 4, 2)
     assert structural_sort_key(a) < structural_sort_key(b)
     assert left_options(make_game([b, a], 0, [])) == (a, b)
+
+
+def test_concurrent_interning_gives_each_tree_one_id():
+    # each round, 4 threads behind a barrier build the same fresh trees and
+    # their shifts: every thread must get the same ids, and the store must
+    # hold one entry per key, so no tree was stored twice
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):
+            base = Fraction(10 ** 6 + round_, 7919)
+            start = threading.Barrier(4)
+            seen: list = [None] * 4
+
+            def build(t):
+                start.wait()
+                got = []
+                for k in range(100):
+                    g = make_game([number(base + k)], base, [number(base - k), number(k)])
+                    got += [g, shift(g, Fraction(1, 3)), negate(g)]
+                seen[t] = got
+
+            threads = [threading.Thread(target=build, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            assert all(got == seen[0] for got in seen)
+            assert len(_index) == len(_nodes)
+    finally:
+        sys.setswitchinterval(old_interval)

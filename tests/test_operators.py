@@ -11,10 +11,11 @@ from conftest import (as_tuple, games_st, naive_strict_conjunctive_scores,
                       naive_successors, naive_sum_scores, scores_st,
                       small_games_st)
 from scoreplay import (FinalScores, Operator, eval_sum, final_scores,
-                       identity_game, make_game, number, octal, outcome,
-                       parse_game, parse_octal, score, shift, sum_games)
-from scoreplay.game import _nodes
+                       identity_game, left_options, make_game, number, octal, outcome,
+                       parse_game, parse_octal, right_options, score, shift, sum_games)
+from scoreplay.game import _split
 from scoreplay.operators import _TREE_MOVES, _successors
+from test_game_core import _assert_canonical
 
 OPS = tuple(Operator)
 COMMUTATIVE = (Operator.DISJUNCTIVE, Operator.CONJUNCTIVE, Operator.SELECTIVE)
@@ -173,22 +174,23 @@ def _integral_sum_pairs(draw):
     return draw(_offset_games_st(Fraction(r, d))), draw(_offset_games_st(Fraction(d - r, d)))
 
 
-def _stored_scores(g):
+def _scores_below(g):
+    """The absolute score of every node of `g`, read through the public API."""
     seen, stack = {g}, [g]
     while stack:
-        left, s, right = _nodes[stack.pop()]
-        yield s
-        for x in left + right:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
+        x = stack.pop()
+        yield score(x)
+        for o in left_options(x) + right_options(x):
+            if o not in seen:
+                seen.add(o)
+                stack.append(o)
 
 
 @given(_integral_sum_pairs())
 @settings(max_examples=60, deadline=None)
 def test_fractional_components_with_integral_sums_match_oracle(pair):
     g, h = pair
-    assert all(type(s) is Fraction for s in _stored_scores(g))
+    assert all(s.denominator != 1 for s in _scores_below(g))
     for op in OPS:
         expected = naive_sum_scores(op, [as_tuple(g), as_tuple(h)])
         fs = eval_sum(op, [g, h])
@@ -197,7 +199,8 @@ def test_fractional_components_with_integral_sums_match_oracle(pair):
         composite = sum_games(op, [g, h])
         assert final_scores(composite) == fs
         # every composite node adds one node of g to one of h: an integer
-        assert all(type(s) is int for s in _stored_scores(composite))
+        assert all(s.denominator == 1 for s in _scores_below(composite))
+        _assert_canonical(composite)
 
 
 @given(st.sampled_from(COMMUTATIVE),
@@ -289,7 +292,8 @@ TREE_STATES = [
 @pytest.mark.parametrize("texts", TREE_STATES)
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.value)
 def test_successors_match_naive_on_fixed_tree_states(op, texts):
-    comps = [parse_game(t) for t in texts]
+    # a tree state holds the components' shapes
+    comps = [_split(parse_game(t))[0] for t in texts]
     state = tuple(comps) if op is Operator.SEQUENTIAL else tuple(sorted(comps))
     for side in "LR":
         assert_successors_match_naive(op, state, _TREE_MOVES[side])
@@ -300,7 +304,7 @@ def test_successors_match_naive_on_fixed_tree_states(op, texts):
 @settings(max_examples=150, deadline=None)
 def test_successors_match_naive_on_tree_states(op, comps, copies):
     # repeat some components so that runs of 2-3 equal ones occur
-    comps = comps + [comps[i % len(comps)] for i in copies]
+    comps = [_split(g)[0] for g in comps + [comps[i % len(comps)] for i in copies]]
     state = tuple(comps) if op is Operator.SEQUENTIAL else tuple(sorted(comps))
     for side in "LR":
         assert_successors_match_naive(op, state, _TREE_MOVES[side])

@@ -10,10 +10,9 @@ from conftest import games_st, scores_st
 from scoreplay import (ImpartialParams, Operator, conjunctive_inverse,
                        distinguishing_context, eval_sum, final_scores,
                        identity_game, identity_test, inverse_search,
-                       is_impartial, negate, nonzero_witness, number, outcome,
+                       is_impartial, make_game, negate, nonzero_witness, number, outcome,
                        outcome_of_scores, parse_game, random_game,
                        random_impartial, reverse, score, shift, sum_games, Outcome)
-from scoreplay.structure import _mirror
 
 
 def test_is_impartial_pinned():
@@ -37,9 +36,13 @@ def test_random_impartial_is_impartial(seed):
 
 @given(games_st(), scores_st)
 def test_mirror_is_one_shift_of_the_negation(g, s):
-    # the three-pass form it replaced, kept as the oracle
-    assert _mirror(g, s) == shift(negate(shift(g, -s)), s)
-    assert _mirror(_mirror(g, s), s) == g
+    # the option the impartial streams pair with g under a node scoring s,
+    # against the three-pass form as the oracle
+    mirror = shift(negate(g), 2 * s)
+    assert mirror == shift(negate(shift(g, -s)), s)
+    assert shift(negate(mirror), 2 * s) == g
+    # a node with g and its mirror on its two sides is impartial iff g is
+    assert is_impartial(make_game([g], s, [mirror])) == is_impartial(g)
 
 
 def test_random_impartial_leaf_probability_one():
