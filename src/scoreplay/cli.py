@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -67,10 +68,18 @@ def _ruleset_arg(text: str) -> OctalRuleset:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
+def _int_arg(text: str) -> int:
+    """An integer in ASCII digits, with an optional sign: bare int() would
+    also take "1_0" or the Arabic-Indic "١", which game text rejects."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _tail_arg(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(chunk) for chunk in text.split(","))
-    except ValueError:
+        sizes = tuple(_int_arg(chunk) for chunk in text.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated heap sizes, got {text!r}") from None
     if any(n < 1 for n in sizes):
@@ -291,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gs.add_argument("--op", type=_operator_arg,
                       default=Operator.DISJUNCTIVE, metavar="OP",
                       help="sum operator (default disjunctive)")
-    p_gs.add_argument("--n-max", type=int, default=200, metavar="N",
+    p_gs.add_argument("--n-max", type=_int_arg, default=200, metavar="N",
                       help="largest heap size tabulated (default 200; "
                            "splitting rulesets get expensive under every "
                            "operator well before that)")
@@ -299,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="comma-separated fixed heap sizes (same ruleset) "
                            "added to every position; under sequential the "
                            "varying heap is played first")
-    p_gs.add_argument("--min-confirm", type=int, default=10, metavar="K",
+    p_gs.add_argument("--min-confirm", type=_int_arg, default=10, metavar="K",
                       help="indices a candidate period must match "
                            "(default 10)")
     p_gs.add_argument("--format", choices=("text", "csv", "json"),
@@ -315,12 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--rules", type=_ruleset_arg, action="append",
                        required=True, metavar="RULESET",
                        help="ruleset to include (repeat for a battery)")
-    p_cmp.add_argument("--n-max", type=int, default=200, metavar="N",
+    p_cmp.add_argument("--n-max", type=_int_arg, default=200, metavar="N",
                        help="largest heap size tabulated (default 200; "
                             "splitting rulesets get expensive under every "
                             "operator well before that, and all four "
                             "operators are tabulated)")
-    p_cmp.add_argument("--min-confirm", type=int, default=10, metavar="K",
+    p_cmp.add_argument("--min-confirm", type=_int_arg, default=10, metavar="K",
                        help="indices a candidate period must match "
                             "(default 10)")
     p_cmp.add_argument("--json", action="store_true",
@@ -331,9 +340,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = subs.add_parser(
         "verify-paper",
         help="run the built-in check battery; exit 0 only if all pass")
-    p_ver.add_argument("--seed", type=int, default=0,
+    p_ver.add_argument("--seed", type=_int_arg, default=0,
                        help="seed for the randomized checks (default 0)")
-    p_ver.add_argument("--samples", type=int, default=None, metavar="N",
+    p_ver.add_argument("--samples", type=_int_arg, default=None, metavar="N",
                        help="override the sample count of every randomized "
                             "check, at least 1 (default: each check's own count)")
     p_ver.add_argument("--only", action="append", metavar="NAME",

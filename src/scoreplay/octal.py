@@ -80,16 +80,14 @@ class OctalRuleset:
                     f"{len(digits)} digits but {len(points)} point values")
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "points", points)
-        # every grundy_value call looks its table up by its rulesets;
-        # hashing the Fraction points afresh each time is wasted work
+        # every grundy_value call looks its table up by its rulesets, and
+        # every heap_game call checks can_split: scanning the Fraction
+        # points or the digits afresh each time is wasted work
         object.__setattr__(self, "_hash", hash((digits, points)))
+        object.__setattr__(self, "can_split", any(d & 4 for d in digits))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def can_split(self) -> bool:
-        return any(d & 4 for d in self.digits)
 
     def notation(self) -> str:
         text = "0." + "".join(str(d) for d in self.digits)

@@ -21,25 +21,25 @@ by the sum of their scores: composites are built and memoized on shapes.
 
 `sum_games` materializes the composite as an ordinary interned tree,
 and `eval_sum` reads its final scores, so a tree sum has one code path.
-`_successors` is the one place that knows the four move rules: the
-commutative composites expand by it, and so do heap positions in
-`octal.grundy_value`.  The sequential composite is a chain of binary
-joins, each a fold over the head's shape, so a component of any depth sums.
+`_successors` is the one place that knows the four move rules: every
+tree composite expands by it, and so do heap positions in
+`octal.grundy_value`.
 
-A commutative composite is a fold of `game._postorder` over states, a
-state's children being its successor states, so a sum of any depth
-builds.  A state is its components' sorted shapes: a leaf has no move,
-so like a dead heap it drops out, and successors come back sorted and
-leafless, so a successor edge costs one memo lookup.  A state of one
-shape is that shape under every operator; `_composite` returns it
-unexpanded.  That is for speed, not depth: a lone game is never played
-out move by move.
+Every composite is a fold of `game._postorder` over states by
+`_composite`, a state's children being its successor states, so a sum of
+any depth builds.  A leaf has no move, so like a dead heap it drops out,
+and successors come back leafless, so a successor edge costs one memo
+lookup.  A commutative state is its components' sorted shapes.  A
+sequential sum folds its components right to left, so a sequential state
+is a pair: the head's shape, and the rest as one shape, the composite of
+the components after the head.  A state of one shape is that shape under
+every operator; `_composite` returns it unexpanded.  That is for speed,
+not depth: a lone game is never played out move by move.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
@@ -161,13 +161,13 @@ _TREE_MOVES = {
 }
 
 
-_build_memo: dict[Operator, dict[tuple[GameId, ...], GameId]] = {
-    op: {} for op in Operator if op is not Operator.SEQUENTIAL}
+_build_memo: dict[Operator, dict[tuple[GameId, ...], GameId]] = {op: {} for op in Operator}
 
 
 def _composite(op: Operator, state: tuple[GameId, ...], memo: dict) -> GameId:
-    """Composite shape of the sorted, leafless shapes `state` under a
-    commutative `op`.  `memo` is `_build_memo[op]`."""
+    """Composite shape of the leafless shapes `state` under `op`: sorted
+    for a commutative `op`, (head, rest) for the sequential one.  `memo` is
+    `_build_memo[op]`."""
     got = memo.get(state)
     if got is not None:
         return got
@@ -188,36 +188,22 @@ def _composite(op: Operator, state: tuple[GameId, ...], memo: dict) -> GameId:
     return _postorder(state, combine, memo, expand)
 
 
-_seq_join_memo: dict[GameId, dict[GameId, GameId]] = {}
-
-
-def _seq_join(g: GameId, h: GameId) -> GameId:
-    """Binary sequential join of shapes: play g out, then h."""
-    memo = _seq_join_memo.setdefault(h, {})     # nested by h, keyed on g
-    got = memo.get(g)
-    if got is None:
-        def join(left, right, memo):
-            if not left and not right:
-                return h
-            return _shape([(d, memo[x]) for d, x in _pairs(left)],
-                          [(d, memo[x]) for d, x in _pairs(right)])
-        got = _postorder(g, join, memo)
-    return got
-
-
 def _sum(op: Operator, games: Iterable[GameId]) -> tuple[GameId, Raw]:
     """The composite of the checked `games` as its shape and root score."""
     _check_op(op)
     comps = [_node(g) for g in games]
     if not comps:
         raise ValueError("a sum needs at least one component")
-    shapes = [y for y, _ in comps]
-    if op is Operator.SEQUENTIAL:
-        # binary join, not _composite: that ran sequential heap_game sums 2.6x slower (GC)
-        # right-associated: [a, b, c] becomes a |> (b |> c)
-        y = reduce(lambda acc, x: _seq_join(x, acc), reversed(shapes[:-1]), shapes[-1])
+    shapes = [y for y, _ in comps if y != _LEAF]
+    memo = _build_memo[op]
+    if op is not Operator.SEQUENTIAL:
+        y = _composite(op, tuple(sorted(shapes)), memo)
     else:
-        y = _composite(op, tuple(sorted(x for x in shapes if x != _LEAF)), _build_memo[op])
+        # right to left, so each state's rest is one canonical shape:
+        # [a, b, c] is (a, (b, c)), and a suffix is built once for all heads
+        y = shapes.pop() if shapes else _LEAF
+        for x in reversed(shapes):
+            y = _composite(op, (x, y), memo)
     return y, sum(s for _, s in comps)
 
 

@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Generator, Iterator, Optional, Sequence
 
@@ -294,27 +295,22 @@ def _impartial_stream(g: GameId, depth: int, branching: int) -> Iterator[GameId]
         shift(base, s + p - score(base)) for base in pool for p in increments)))
 
 
-_probes: Optional[tuple[GameId, ...]] = None
-
-
+@cache
 def _probe_set() -> tuple[GameId, ...]:
-    global _probes
-    if _probes is None:
-        z = number(0)
-        half = make_game([z], 0, [z])
-        fixed = [z, number(1), number(-1),
-                 make_game([number(1)], 0, [number(-1)]),
-                 make_game([number(2)], 1, [number(0)]),
-                 identity_game(),
-                 make_game([number(1), half], 0, [half, number(-1)])]
-        params = ImpartialParams(max_depth=3, max_branch=2,
-                                 palette=(Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)),
-                                 leaf_probability=0.25, seed=1729)
-        rng = random.Random(params.seed)
-        for _ in range(12):
-            fixed.append(random_impartial(params, rng))
-        _probes = tuple(dict.fromkeys(fixed))
-    return _probes
+    z = number(0)
+    half = make_game([z], 0, [z])
+    fixed = [z, number(1), number(-1),
+             make_game([number(1)], 0, [number(-1)]),
+             make_game([number(2)], 1, [number(0)]),
+             identity_game(),
+             make_game([number(1), half], 0, [half, number(-1)])]
+    params = ImpartialParams(max_depth=3, max_branch=2,
+                             palette=(Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)),
+                             leaf_probability=0.25, seed=1729)
+    rng = random.Random(params.seed)
+    for _ in range(12):
+        fixed.append(random_impartial(params, rng))
+    return tuple(dict.fromkeys(fixed))
 
 
 def inverse_search(g: GameId, op: Operator, depth: int = 2,

@@ -192,6 +192,32 @@ def test_gs_bad_tail_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("gs", "--rules", "0.33:1,2", "--tail", "\u0661"),
+    ("gs", "--rules", "0.33:1,2", "--tail", "3,1_0"),
+    ("gs", "--rules", "0.33:1,2", "--n-max", "1_0"),
+    ("gs", "--rules", "0.33:1,2", "--n-max", "\u0663"),
+    ("gs", "--rules", "0.33:1,2", "--n-max", " 5"),
+    ("gs", "--rules", "0.33:1,2", "--min-confirm", "\uff15"),
+    ("period-compare", "--rules", "0.33:1,2", "--n-max", "4.0"),
+    ("period-compare", "--rules", "0.33:1,2", "--min-confirm", "1e1"),
+    ("verify-paper", "--seed", "\u0663"),
+    ("verify-paper", "--samples", "1_0"),
+])
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ")
+
+
+def test_integer_flags_take_a_sign(capsys):
+    signed = run(capsys, "gs", "--rules", "0.33:1,2", "--n-max", "+6",
+                 "--tail", "+3", "--min-confirm", "+2")
+    plain = run(capsys, "gs", "--rules", "0.33:1,2", "--n-max", "6",
+                "--tail", "3", "--min-confirm", "2")
+    assert signed == plain and signed[0] == 0
+
+
 def test_period_compare_text(capsys):
     code, out, _ = run(capsys, "period-compare", "--rules", "0.33:1,2",
                        "--n-max", "40")

@@ -8,10 +8,13 @@ is computed on plain tuples, and every result must have that structure
 (`as_tuple`, options in structural order) and the oracle's final scores.
 A sum's structure has no oracle, so its final scores are checked against
 the brute-force game search instead, and its tuple joins the pool as the
-engine built it.
+engine built it.  Long sequential chains are checked the same way, and
+against the associativity of the sequential sum: a chain is the same tree
+however it is split in two.
 """
 
 from fractions import Fraction
+from math import prod
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -92,3 +95,35 @@ def test_random_store_operations_match_the_oracle(data):
             continue
         _check(got, want)
         pool.append((got, want))
+
+
+def _build(t):
+    """The interned game of the tuple game `t`."""
+    left, s, right = t
+    return make_game([_build(x) for x in left], s, [_build(x) for x in right])
+
+
+_LEAVES = st.builds(lambda s: ((), s, ()), scores_st)
+_TREES = st.recursive(_LEAVES, lambda kids: st.builds(
+    lambda left, s, right: (tuple(left), s, tuple(right)),
+    st.lists(kids, max_size=2), scores_st, st.lists(kids, max_size=2)), max_leaves=3)
+#: a head with options for one player only locks the rest of the chain
+#: on the other player's turn
+_ONE_SIDED = st.builds(
+    lambda options, s, left: (options, s, ()) if left else ((), s, options),
+    st.lists(_TREES, min_size=1, max_size=2).map(tuple), scores_st, st.booleans())
+_CHAINS = st.lists(st.one_of(_LEAVES, _ONE_SIDED, _TREES), min_size=4, max_size=6)
+
+
+@given(_CHAINS)
+@settings(max_examples=150, deadline=None)
+def test_long_sequential_chains(chain):
+    seq = Operator.SEQUENTIAL
+    games = [_build(t) for t in chain]
+    got = sum_games(seq, games)
+    # a line of play takes one path down each component, so the oracle
+    # follows at most the product of the component sizes
+    if prod(_size(t) for t in chain) <= 2000:
+        assert tuple(final_scores(got)) == naive_sum_scores(seq, chain)
+    for i in range(1, len(games)):
+        assert got == sum_games(seq, [sum_games(seq, games[:i]), sum_games(seq, games[i:])])
