@@ -19,8 +19,6 @@ errors and on input too deep or too large to evaluate.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
@@ -181,12 +179,9 @@ def cmd_gs(args) -> int:
         }
         _emit(_render_json(report), args.output)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "value"])
-        for n, v in enumerate(table):
-            writer.writerow([n, format_score(v)])
-        _emit(buf.getvalue(), args.output)
+        # a score's text holds no comma or quote, so no field needs quoting
+        lines = ["n,value"] + [f"{n},{format_score(v)}" for n, v in enumerate(table)]
+        _emit("\n".join(lines) + "\n", args.output)
     else:
         lines = [f"ruleset {args.rules.notation()}  operator {args.op.value}  "
                  f"n_max {args.n_max}  min_confirm {args.min_confirm}"]

@@ -185,11 +185,9 @@ def _scored(y: GameId, s: Raw) -> GameId:
 def _intern(key: tuple, node: _Node) -> GameId:
     """The id of `key`, storing `node` for it if it is new: the one insertion."""
     with _lock:
-        got = _index.get(key)
-        if got is None:
-            got = len(_nodes)
+        got = _index.setdefault(key, len(_nodes))    # one hash of the key
+        if got == len(_nodes):
             _nodes.append(node)
-            _index[key] = got
         return got
 
 

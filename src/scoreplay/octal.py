@@ -27,12 +27,12 @@ just n for a position of one ruleset.  A state is a tuple of those ints,
 sorted for the commutative operators, so it hashes and compares as a flat
 tuple of ints, as a state of interned game ids does.  Equal rulesets share
 one table of `_gs_tables`, keyed on the position's rulesets: the scale,
-each heap's scaled moves, built once, and each operator's memo.
-`_negamax` is the engine's last recursion, a frame a ply; `heap_game`
-folds (operator, ruleset, size) keys by `game._postorder`, so its trees
-build at any depth.  A heap tree is a shape (see `game`): a move worth p
-is the option (p, part) for Left and (-p, part) for Right.  Heap sizes
-must be ints; nothing is truncated into another heap.
+each heap's scaled moves, built once, and each operator's memo and heap
+trees.  `_negamax` is the engine's last recursion, a frame a ply;
+`heap_game` folds heap sizes by `game._postorder` over the same moves, so
+its trees build at any depth.  A heap tree is a shape (see `game`): a move
+worth p is the option (p, part) for Left and (-p, part) for Right.  Heap
+sizes must be nonnegative ints; nothing is truncated into another heap.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .game import GameId, _LEAF, _postorder, _shape, as_score
 from .operators import Moves, Operator, _check_op, _successors, sum_games
@@ -63,7 +63,9 @@ class OctalRuleset:
     points: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        digits = tuple(int(d) for d in self.digits)
+        digits = tuple(self.digits)
+        if any(isinstance(d, bool) or not isinstance(d, int) for d in digits):
+            raise TypeError(f"octal digits must be ints: {digits!r}")
         if not digits:
             raise ValueError("a ruleset needs at least one digit")
         if any(d < 0 or d > 7 for d in digits):
@@ -132,10 +134,13 @@ def _live(rules: OctalRuleset, n: int) -> bool:
 
 
 def _as_size(n) -> int:
-    """`n` if it is an int; a float, Fraction, str or bool raises TypeError
-    rather than being truncated into some other heap."""
+    """`n` if it is an int of at least 0.  A float, Fraction, str or bool
+    raises TypeError rather than being truncated into some other heap, and
+    a negative int raises ValueError."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"heap sizes must be ints, got {type(n).__name__} {n!r}")
+    if n < 0:
+        raise ValueError(f"heap sizes must be nonnegative, got {n}")
     return n
 
 
@@ -154,13 +159,11 @@ def heap_moves(rules: OctalRuleset, n: int) -> RawMoves:
     permitted shapes in bit order.
     """
     _as_rules(rules)
-    if _as_size(n) < 0:
-        raise ValueError(f"heap size must be nonnegative: {n}")
-    return _raw_moves(rules, n)
+    return _raw_moves(rules, _as_size(n))
 
 
-#: (moves, scale, {op: (memo, groups) of `_negamax`}) for one set of rulesets
-Table = tuple[Moves, int, dict[Operator, tuple[dict, dict]]]
+#: (moves, scale, {op: (memo and groups of `_negamax`, trees of `heap_game`)})
+Table = tuple[Moves, int, dict[Operator, tuple[dict, dict, dict[int, GameId]]]]
 
 #: the position's rulesets in canonical order -> their table: the operators
 #: share one copy of the moves, and no per-state key carries the operator
@@ -206,14 +209,12 @@ def _prepare(op: Operator, position: Position) -> tuple[tuple, Table]:
         if rules not in rulesets:
             _check_rules(op, rules)
             rulesets.append(rules)
-        if _as_size(n) < 0:
-            raise ValueError(f"heap sizes are nonnegative: {n}")
         heaps.append((rules, n))
     key = tuple(sorted(rulesets, key=lambda r: (r.digits, r.points)))
     # setdefault only on a miss: its default would be built on every call
     table = _gs_tables.get(key) or _gs_tables.setdefault(key, _table(key))
     k, moves = len(key), table[0]
-    state = [h for rules, n in heaps if moves(h := n * k + key.index(rules))]
+    state = [h for rules, n in heaps if moves(h := _as_size(n) * k + key.index(rules))]
     if op is not Operator.SEQUENTIAL:
         state.sort()
     return tuple(state), table
@@ -238,16 +239,13 @@ def _negamax(op: Operator, state: tuple, moves: Moves, memo: dict, groups: dict)
 def grundy_value(op: Operator, position: Position) -> Fraction:
     """Mover-relative value of a heap position under `op`."""
     state, (moves, scale, memos) = _prepare(op, position)
-    memo, groups = memos.get(op) or memos.setdefault(op, ({}, {}))
+    memo, groups, _ = memos.get(op) or memos.setdefault(op, ({}, {}, {}))
     return Fraction(_negamax(op, state, moves, memo, groups), scale)
 
 
 def heap_value(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE) -> Fraction:
     """Value of the single heap {n}; n = 0 is the empty position."""
     return grundy_value(op, [(rules, n)])
-
-
-_tree_memo: dict[tuple[Operator, OctalRuleset, int], GameId] = {}
 
 
 def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
@@ -259,29 +257,38 @@ def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
     the two parts continue as a sum under `op`, so the tree composed with
     other heaps by `op` plays exactly like the flat heap position.  The
     tree on its own satisfies SL(heap_game(rules, n)) = heap_value(rules, n)
-    for the disjunctive operator.
+    for the disjunctive operator.  Trees are kept by size in the table of
+    `rules`, beside its values, and built over the same moves: a part with
+    no move is left out, as from any sum.
 
     Tree size grows fast with n; `cap` is a guard, not a suggestion.
     """
+    # a hit reads three dicts and calls no helper; only an int within the
+    # cap may hit, since True or 3.0 would find the tree of 1 or 3
+    try:
+        table = _gs_tables.get((rules,))
+        entry = table[2].get(op) if table else None
+    except TypeError:       # an unhashable ruleset or operator, rejected below
+        table = entry = None
+    got = entry[2].get(n) if entry and type(n) is int and n <= cap else None
+    if got is not None:
+        return got
+    _check_rules(op, rules)
     if _as_size(n) > cap:
         raise ValueError(f"heap {n} exceeds cap {cap}; raise cap knowingly")
-    if n < 0:
-        raise ValueError(f"heap size must be nonnegative: {n}")
-    _check_rules(op, rules)
-    return _postorder((op, rules, n), _heap_tree, _tree_memo, _heap_parts)
+    moves, scale, memos = table or _gs_tables.setdefault((rules,), _table((rules,)))
+    trees = (entry or memos.setdefault(op, ({}, {}, {})))[2]
 
+    def expand(h):
+        return (moves(h),), (m for _, parts in moves(h) for m in parts)
 
-def _heap_parts(key: tuple[Operator, OctalRuleset, int]) -> tuple[tuple, Iterator]:
-    """Heap `key` = (op, rules, n) as `heap_game` folds it: its moves, and their parts."""
-    op, rules, n = key
-    moves = [(p, [(op, rules, m) for m in rem]) for p, rem in _raw_moves(rules, n)]
-    return (op, moves), (part for _, parts in moves for part in parts)
+    def combine(ms, trees):
+        lefts = [(Fraction(pts, scale), _LEAF if not parts else trees[parts[0]]
+                  if len(parts) == 1 else sum_games(op, [trees[m] for m in parts]))
+                 for pts, parts in ms]
+        return _shape(lefts, [(-p, y) for p, y in lefts])
 
-
-def _heap_tree(op: Operator, moves: list, memo: dict) -> GameId:
-    lefts = [(p, _LEAF if not parts else memo[parts[0]] if len(parts) == 1
-              else sum_games(op, [memo[part] for part in parts])) for p, parts in moves]
-    return _shape(lefts, [(-p, sub) for p, sub in lefts])
+    return _postorder(n, combine, trees, expand)
 
 
 def value_table(op: Operator, rules: OctalRuleset, n_max: int,
@@ -292,8 +299,7 @@ def value_table(op: Operator, rules: OctalRuleset, n_max: int,
     the tail in its given order.
     """
     _check_rules(op, rules)
-    if _as_size(n_max) < 0:
-        raise ValueError("n_max must be nonnegative")
+    _as_size(n_max)
     tail = tuple(tail)
     return [grundy_value(op, ((rules, n),) + tail) for n in range(n_max + 1)]
 

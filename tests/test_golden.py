@@ -1,4 +1,5 @@
-"""Pinned reports: CLI output, composite trees and heap values, byte for byte.
+"""Pinned reports: CLI output, composite trees, heap values and heap trees,
+byte for byte.
 
 The files under tests/data/ hold the expected output.  Unlike a test that
 runs the same code twice, they catch a change in printed option order or
@@ -17,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from scoreplay import (Operator, format_game, grundy_value, parse_game,
+from scoreplay import (Operator, format_game, grundy_value, heap_game, parse_game,
                        parse_octal, sum_games)
 from scoreplay.cli import main
+from scoreplay.verify import BATTERY
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,6 +71,14 @@ MIXED = {
 }
 HEAP_VALUES_FILE = "heap-values.txt"
 
+#: the battery's rulesets, then rational points, a split that scores, dead
+#: remainders (a heap of one is dead under 0.6), a negative point and a
+#: digit that only takes a whole heap
+TREE_RULESETS = tuple(str(rules) for rules in BATTERY) + (
+    "0.33:1/3,1/2", "0.007:0,0,5/2", "0.6:1", "0.16:1,-1", "0.07:1,2")
+TREE_BEANS = 6
+HEAP_TREES_FILE = "heap-trees.txt"
+
 
 def report(argv: list[str]) -> str:
     out = io.StringIO()
@@ -105,6 +115,21 @@ def heap_values() -> str:
     return "\n".join(lines) + "\n"
 
 
+def heap_trees() -> str:
+    """`heap_game` of 0..TREE_BEANS beans of each of TREE_RULESETS under
+    every operator, sequential only for rulesets that cannot split."""
+    lines = []
+    for text in TREE_RULESETS:
+        rules = parse_octal(text)
+        for op in Operator:
+            if op is Operator.SEQUENTIAL and rules.can_split:
+                continue
+            for n in range(TREE_BEANS + 1):
+                lines.append(f"{op.value} {text} {n}: "
+                             f"{format_game(heap_game(rules, n, op))}")
+    return "\n".join(lines) + "\n"
+
+
 def golden(name: str) -> str:
     return (DATA / name).read_bytes().decode("utf-8")
 
@@ -122,11 +147,16 @@ def test_heap_values_match_golden():
     assert heap_values() == golden(HEAP_VALUES_FILE)
 
 
+def test_heap_trees_match_golden():
+    assert heap_trees() == golden(HEAP_TREES_FILE)
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     outputs = {name: report(argv) for name, argv in REPORTS.items()}
     outputs[COMPOSITES_FILE] = composites()
     outputs[HEAP_VALUES_FILE] = heap_values()
+    outputs[HEAP_TREES_FILE] = heap_trees()
     for name, text in outputs.items():
         (DATA / name).write_text(text, encoding="utf-8", newline="")
         print(f"wrote {DATA / name}")

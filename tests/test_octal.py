@@ -34,6 +34,13 @@ def test_ruleset_validation():
         OctalRuleset((0, 0), (F(0), F(0)))
 
 
+@pytest.mark.parametrize("digit", [3.7, True, "3"], ids=["float", "bool", "str"])
+def test_ruleset_digits_must_be_ints(digit):
+    # these used to be read as the digit 3, 1 and 3
+    with pytest.raises(TypeError):
+        OctalRuleset((digit,))
+
+
 def test_can_split():
     assert not R33.can_split
     assert R007.can_split
@@ -74,10 +81,14 @@ def test_heap_moves_bounds():
     lambda: grundy_value(Operator.SELECTIVE, [(R33, 3), (R33, 2.0)]),
     lambda: heap_moves(R33, 2.5),
     lambda: heap_game(R33, 2.5),
+    # a bool or a float equal to a built size must not find its tree
+    lambda: (heap_game(R33, 1), heap_game(R33, True)),
+    lambda: (heap_game(R33, 3), heap_game(R33, 3.0)),
     lambda: value_table(Operator.DISJUNCTIVE, R33, 4.5),
     lambda: value_table(Operator.DISJUNCTIVE, R33, 4, tail=((R33, 1.5),)),
 ], ids=["value-float", "value-fraction", "value-str", "value-bool", "grundy-float",
-        "grundy-float-equal-to-int", "moves-float", "game-float", "table-n-max",
+        "grundy-float-equal-to-int", "moves-float", "game-float", "game-bool-built",
+        "game-float-built", "table-n-max",
         "table-tail"])
 def test_heap_sizes_must_be_ints(call):
     # these used to be truncated into some other heap, or gave nonsense
@@ -215,6 +226,10 @@ BAD_INPUTS = {
     "value_table/rules": lambda: value_table(Operator.DISJUNCTIVE, "0.33", 3),
     "heap_game/op": lambda: heap_game(R33, 3, "disjunctive"),
     "heap_game/rules": lambda: heap_game("0.33", 3),
+    # over the cap: the operator or ruleset is read first
+    "heap_game/op-over-cap": lambda: heap_game(R33, 13, "disjunctive"),
+    "heap_game/rules-over-cap": lambda: heap_game("0.33", 13),
+    "heap_game/unhashable-rules": lambda: heap_game(["0.33"], 3),
     "heap_moves/rules": lambda: heap_moves("0.33", 3),
     "compare_periods/rules": lambda: compare_periods("0.33", n_max=3),
     "compare_periods/tail": lambda: compare_periods(R33, [("0.33", 1)], n_max=3),
@@ -225,11 +240,15 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("name", BAD_INPUTS)
 def test_entry_points_reject_a_bad_operator_or_ruleset(name):
-    tables, trees = dict(octal._gs_tables), dict(octal._tree_memo)
+    def tabled():
+        # each table's memo, groups and trees by operator, counted
+        return {key: {op: tuple(map(len, entry)) for op, entry in memos.items()}
+                for key, (_, _, memos) in octal._gs_tables.items()}
+    before = tabled()
     with pytest.raises(TypeError):
         BAD_INPUTS[name]()
     # nothing was tabled on the way
-    assert octal._gs_tables == tables and octal._tree_memo == trees
+    assert tabled() == before
 
 
 def test_rational_points_stay_exact():
@@ -251,6 +270,8 @@ def test_heap_game_cap():
     with pytest.raises(ValueError):
         heap_game(R33, 13)
     assert heap_game(R33, 13, cap=13) is not None
+    with pytest.raises(ValueError):     # built, but still over the cap
+        heap_game(R33, 13)
 
 
 def test_heap_game_sequential_split_rejected():
