@@ -22,10 +22,10 @@ order of the absolute option games, so printed output is stable.
 
 Ids are checked once, at the public API (`_node` raises ValueError).  The
 engine's builders hold known ids: they `_split` a game, read a shape's
-sides from `_nodes` and intern through `_shape` and `_scored`, which check
-nothing.  Builders that assemble a tree bottom up (the parser, the random
-generators) pass (shape, score) pairs between levels and intern only the
-root with its score.  Whole-tree walks and the builds over states share
+sides from `_nodes` and intern through `_shape`, `_mirrored` and `_scored`,
+which check nothing.  Builders that assemble a tree bottom up (the parser,
+the random generators) pass (shape, score) pairs between levels and intern
+only the root with its score.  Whole-tree walks and the builds over states share
 one post-order fold on an explicit stack, `_postorder`, and recursive
 generators run on another, `_unwind`: any depth works.
 
@@ -191,6 +191,13 @@ def _intern(key: tuple, node: _Node) -> GameId:
         return got
 
 
+def _mirrored(left: Pairs) -> GameId:
+    """Intern the shape whose Right side is its Left pairs (d, y) reflected,
+    as (-d, y): impartial when each shape y is (see `negate`)."""
+    left = list(left)
+    return _shape(left, [(-d, y) for d, y in left])
+
+
 _LEAF = _shape((), ())
 
 
@@ -231,9 +238,6 @@ def is_leaf(g: GameId) -> bool:
 def store_size() -> int:
     """Number of interned nodes, shapes and scored games alike (diagnostic)."""
     return len(_nodes)
-
-
-_negate_memo: dict[GameId, GameId] = {}
 
 
 def _options(y: GameId) -> tuple[tuple, Iterator[GameId]]:
@@ -295,10 +299,11 @@ def _flipped(side: tuple, memo: dict[GameId, GameId]) -> list[tuple[Raw, GameId]
 
 def negate(g: GameId) -> GameId:
     """Swap the players and negate every score.  An involution, which maps
-    shapes to shapes."""
+    shapes to shapes.  An impartial shape is its own negative (see
+    `structure`), so negate(g) == shift(g, -2*score(g)) for impartial g."""
     y, s = _node(g)
     return _scored(_postorder(y, lambda left, right, memo: _shape(
-        _flipped(right, memo), _flipped(left, memo)), _negate_memo), -s)
+        _flipped(right, memo), _flipped(left, memo)), {}), -s)
 
 
 def reverse(g: GameId) -> GameId:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence
 
-from .game import GameId, _LEAF, _postorder, _shape, as_score
+from .game import GameId, _LEAF, _mirrored, _postorder, as_score
 from .operators import Moves, Operator, _check_op, _successors, sum_games
 
 
@@ -283,10 +283,9 @@ def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
         return (moves(h),), (m for _, parts in moves(h) for m in parts)
 
     def combine(ms, trees):
-        lefts = [(Fraction(pts, scale), _LEAF if not parts else trees[parts[0]]
-                  if len(parts) == 1 else sum_games(op, [trees[m] for m in parts]))
-                 for pts, parts in ms]
-        return _shape(lefts, [(-p, y) for p, y in lefts])
+        return _mirrored((Fraction(pts, scale), _LEAF if not parts else trees[parts[0]]
+                          if len(parts) == 1 else sum_games(op, [trees[m] for m in parts]))
+                         for pts, parts in ms)
 
     return _postorder(n, combine, trees, expand)
 

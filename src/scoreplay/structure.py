@@ -1,13 +1,19 @@
 """Structural probes: impartial games, inverses, witnesses, and searches.
 
 An impartial game here is one where, at every node, the two players'
-options mirror each other relative to the node score: for each Left
-option there is a Right option that is its exact negation after shifting
-the node score away, and vice versa: on shapes (see `game`), each Left
-option (d, y) has the Right option (-d, negate(y)).  Impartial games
-with zero scores everywhere relative to the root are their own
-negatives, which is what makes `reverse` (flip scores, keep sides) act
-as an inverse for the conjunctive operator while plain `negate` does not.
+options mirror each other about the node score: on shapes (see `game`),
+each Left option (d, y) is matched by the Right option (-d, negate(y)),
+and vice versa.  An impartial shape (an impartial tree at root score 0)
+is its own negative, so negate(g) == shift(g, -2*score(g)) for every
+impartial g.  By induction on depth: its option shapes y are their own
+negatives, so its Right pairs are its Left pairs reflected, (d, y) as
+(-d, y), and `negate`, which swaps the sides and negates the deltas,
+gives the shape back.  So a shape is impartial exactly when its option
+shapes are and its Right pairs are its Left pairs reflected.
+`is_impartial` checks just that, and every builder here interns a
+mirrored shape through `game._mirrored`, with no negation.  Hence `negate`
+only moves an impartial game, while `reverse` (flip scores, keep sides)
+cancels a single-line one conjunctively.
 
 The searches in this module are deliberately bounded and deterministic:
 they enumerate candidates in a fixed canonical order under explicit depth
@@ -21,23 +27,23 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Generator, Iterator, Optional, Sequence
 
 from .evaluate import Outcome, outcome, outcome_of_scores
-from .game import (GameId, _LEAF, _canonical, _node, _pairs, _postorder, _scored, _shape, _unwind,
-                   as_score, is_leaf, left_options, make_game, max_score_magnitude,
-                   negate, number, reverse, score, shift)
+from .game import (GameId, _LEAF, _canonical, _mirrored, _node, _pairs, _postorder, _scored,
+                   _shape, _split, _unwind, as_score, is_leaf, left_options, make_game,
+                   max_score_magnitude, number, reverse, score, shift)
 from .notation import format_game
-from .operators import Operator, eval_sum, sum_games
+from .operators import Operator, _check_op, eval_sum, sum_games
 
 
 def is_impartial(g: GameId) -> bool:
-    """Whether both players have mirrored options at every node."""
+    """Whether both players have mirrored options at every node, as
+    `game._mirrored` builds them (see the module docstring)."""
     return _postorder(_node(g)[0], lambda left, right, memo: all(
         memo[x] for x in left[1::2] + right[1::2])
-        and set(_pairs(left)) == {(-d, negate(y)) for d, y in _pairs(right)}, {})
+        and set(_pairs(left)) == {(-d, y) for d, y in _pairs(right)}, {})
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,8 @@ class ImpartialParams:
 
     def __post_init__(self):
         object.__setattr__(self, "palette", tuple(as_score(p) for p in self.palette))
+        if not all(type(v) is int for v in (self.max_depth, self.max_branch)):
+            raise TypeError(f"max_depth and max_branch must be ints: {self!r}")
         if self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         if self.max_branch < 1:
@@ -79,7 +87,7 @@ def random_impartial(params: ImpartialParams, rng: Optional[random.Random] = Non
         for _ in range(rng.randint(1, params.max_branch)):
             p = rng.choice(palette)
             lefts.append((p, (yield build(depth - 1))))
-        return _shape(lefts, [(-p, negate(y)) for p, y in lefts])
+        return _mirrored(lefts)
 
     s = rng.choice(palette)     # the root score is the stream's first draw
     return _scored(_unwind(build(params.max_depth)), s)
@@ -107,9 +115,7 @@ def random_game(params: ImpartialParams, rng: Optional[random.Random] = None) ->
 
 def identity_game() -> GameId:
     """Two tempo moves for each player, all scores zero: {{0|0|0}|0|{0|0|0}}."""
-    z = number(0)
-    half = make_game([z], 0, [z])
-    return make_game([half], 0, [half])
+    return _mirrored([(0, _mirrored([(0, _LEAF)]))])
 
 
 def _single_line(g: GameId) -> bool:
@@ -160,6 +166,8 @@ def identity_test(candidate: GameId, op: Operator, samples: int = 200,
     operator where the identity claim ranges over all games) and compares
     outcome(candidate (+) sample) against outcome(sample).
     """
+    if samples < 1:
+        raise ValueError("identity_test needs at least one sample")
     params = params or ImpartialParams()
     rng = random.Random(params.seed)
     draw = random_game if op is Operator.SEQUENTIAL else random_impartial
@@ -196,14 +204,13 @@ def nonzero_witness(g: GameId, op: Operator) -> ContextWitness:
     in `g` as well as the trap's own bonus point.  Works for the
     conjunctive and selective operators.
     """
+    _check_op(op)
     if op not in (Operator.CONJUNCTIVE, Operator.SELECTIVE):
         raise ValueError(f"no witness construction for {op.value} sums")
     if g == number(0):
         raise ValueError("the zero game has no separating context")
-    if is_leaf(g):
-        x = number(0)
-    else:
-        x = _trap(max(Fraction(1), max_score_magnitude(g)), bool(left_options(g)))
+    x = number(0) if is_leaf(g) else _trap(max(Fraction(1), max_score_magnitude(g)),
+                                           bool(left_options(g)))
     composed = outcome_of_scores(eval_sum(op, [g, x]))
     baseline = outcome(x)
     if composed == baseline:
@@ -252,14 +259,9 @@ def distinguishing_context(g: GameId, h: GameId, op: Operator, depth: int = 3,
         return None
     pal = sorted({as_score(s) for s in palette}, key=lambda s: (abs(s), s))
     seen: set[GameId] = set()
-    tried = 0
-    for x in _context_stream(g, h, depth, branching, pal):
-        if x in seen:
-            continue
-        seen.add(x)
-        tried += 1
-        if tried > budget:
-            break
+    fresh = (x for x in _context_stream(g, h, depth, branching, pal)
+             if not (x in seen or seen.add(x)))
+    for x in islice(fresh, max(budget, 0)):
         composed = outcome_of_scores(eval_sum(op, [g, x]))
         baseline = outcome_of_scores(eval_sum(op, [h, x]))
         if composed != baseline:
@@ -276,10 +278,10 @@ def _impartial_trees(scores: Sequence[Fraction], depth: int, branching: int,
     yield from pool
     for _ in range(depth):
         grown = []
-        for s in scores:
+        for s in map(_canonical, scores):
             for k in range(1, branching + 1):
                 for lefts in combinations(options(pool, s), k):
-                    grown.append(make_game(lefts, s, [shift(negate(x), 2 * s) for x in lefts]))
+                    grown.append(_scored(_mirrored((t - s, y) for y, t in map(_split, lefts)), s))
                     yield grown[-1]
         pool = pool + grown
 
@@ -295,15 +297,11 @@ def _impartial_stream(g: GameId, depth: int, branching: int) -> Iterator[GameId]
         shift(base, s + p - score(base)) for base in pool for p in increments)))
 
 
-@cache
 def _probe_set() -> tuple[GameId, ...]:
-    z = number(0)
-    half = make_game([z], 0, [z])
-    fixed = [z, number(1), number(-1),
-             make_game([number(1)], 0, [number(-1)]),
-             make_game([number(2)], 1, [number(0)]),
-             identity_game(),
-             make_game([number(1), half], 0, [half, number(-1)])]
+    # 0, 1, -1, {1|0|-1}, {2|1|0}, {{0|0|0}|0|{0|0|0}}, {1,{0|0|0}|0|{0|0|0},-1}
+    half, one = _mirrored([(0, _LEAF)]), _mirrored([(1, _LEAF)])
+    fixed = [_LEAF, number(1), number(-1), one, _scored(one, 1), identity_game(),
+             _mirrored([(1, _LEAF), (0, half)])]
     params = ImpartialParams(max_depth=3, max_branch=2,
                              palette=(Fraction(-2), Fraction(-1), Fraction(1), Fraction(2)),
                              leaf_probability=0.25, seed=1729)
@@ -322,11 +320,7 @@ def inverse_search(g: GameId, op: Operator, depth: int = 2,
     bounded heuristic: None means no inverse within bounds and probes.
     """
     probes = _probe_set()
-    tried = 0
-    for y in _impartial_stream(g, depth, branching=2):
-        tried += 1
-        if tried > budget:
-            break
+    for y in islice(_impartial_stream(g, depth, branching=2), max(budget, 0)):
         combined = sum_games(op, [g, y])
         if all(outcome_of_scores(eval_sum(op, [combined, p])) == outcome(p)
                for p in probes):

@@ -38,6 +38,23 @@ def oracle_key(t):
             tuple(sorted(oracle_key(x) for x in right)))
 
 
+def _reflect(t, about):
+    """The tuple game `t` negated about the score `about`: every score x
+    becomes 2*about - x and the two sides swap."""
+    left, s, right = t
+    return (tuple(_reflect(x, about) for x in right), 2 * about - s,
+            tuple(_reflect(x, about) for x in left))
+
+
+def naive_is_impartial(t) -> bool:
+    """Whether every node of the tuple game `t` has Right options that are
+    its Left options reflected about the node score, and vice versa,
+    straight off the definition: it never calls the engine's `negate`."""
+    left, s, right = t
+    return (all(naive_is_impartial(x) for x in left + right)
+            and {oracle_key(x) for x in left} == {oracle_key(_reflect(x, s)) for x in right})
+
+
 def naive_scores(t):
     """(SL, SR) of a tuple game, straight off the definition."""
     left, s, right = t

@@ -10,18 +10,25 @@ A sum's structure has no oracle, so its final scores are checked against
 the brute-force game search instead, and its tuple joins the pool as the
 engine built it.  Long sequential chains are checked the same way, and
 against the associativity of the sequential sum: a chain is the same tree
-however it is split in two.
+however it is split in two.  `is_impartial` is checked against a
+definition that reflects options on plain tuples, on random impartial
+games, on those games with one leaf score moved, and on random games.
 """
 
 from fractions import Fraction
 from math import prod
+import random
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import as_tuple, naive_scores, naive_sum_scores, oracle_key, scores_st
-from scoreplay import (Operator, final_scores, left_options, make_game, negate,
-                       reverse, right_options, shift, sum_games)
+import pytest
+
+from conftest import (as_tuple, games_st, naive_is_impartial, naive_scores, naive_sum_scores,
+                      oracle_key, scores_st)
+from scoreplay import (ImpartialParams, Operator, final_scores, is_impartial, left_options,
+                       make_game, negate, random_impartial, reverse, right_options, score,
+                       shift, sum_games)
 
 STEPS = ("make", "shift", "negate", "reverse", "sum", "options")
 AMOUNTS = st.sampled_from(
@@ -127,3 +134,82 @@ def test_long_sequential_chains(chain):
         assert tuple(final_scores(got)) == naive_sum_scores(seq, chain)
     for i in range(1, len(games)):
         assert got == sum_games(seq, [sum_games(seq, games[:i]), sum_games(seq, games[i:])])
+
+
+def _leaf_paths(t, path=()):
+    """The path to each leaf of the tuple game `t`, as (side, index) steps."""
+    left, _, right = t
+    if not left and not right:
+        yield path
+    for side, options in ((0, left), (2, right)):
+        for i, x in enumerate(options):
+            yield from _leaf_paths(x, path + ((side, i),))
+
+
+def _moved(t, path, amount):
+    """`t` with `amount` added to the score of the node at `path`."""
+    left, s, right = t
+    if not path:
+        return left, s + amount, right
+    (side, i), rest = path[0], path[1:]
+    options = list(t[side])
+    options[i] = _moved(options[i], rest, amount)
+    return (tuple(options), s, right) if side == 0 else (left, s, tuple(options))
+
+
+def _everywhere(t, old, new):
+    """`t` with each subtree that is `old` shifted by some c replaced by
+    `new` shifted by c; `old` and `new` sit at root score 0."""
+    left, s, right = t
+    if oracle_key(_map(t, lambda x: x - s, False)) == oracle_key(old):
+        return _map(new, lambda x: x + s, False)
+    return (tuple(_everywhere(x, old, new) for x in left), s,
+            tuple(_everywhere(x, old, new) for x in right))
+
+
+def _check_impartial(g):
+    """`is_impartial` agrees with the tuple oracle, and an impartial game is
+    its own negative up to a shift."""
+    got = is_impartial(g)
+    assert got == naive_is_impartial(as_tuple(g))
+    if got:
+        assert negate(g) == shift(g, -2 * score(g))
+    return got
+
+
+_PARAMS = (ImpartialParams(seed=0),
+           ImpartialParams(max_depth=4, max_branch=3, seed=0,
+                           palette=(Fraction(-3, 2), Fraction(0), Fraction(1, 3), Fraction(2))))
+
+
+@pytest.mark.parametrize("params", _PARAMS)
+@pytest.mark.parametrize("seed", range(25))
+def test_is_impartial_matches_the_oracle_on_impartial_games(params, seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        t = as_tuple(random_impartial(params, rng))
+        assert _check_impartial(_build(t))
+        # one leaf score moved breaks the mirror, unless that leaf is the root
+        path = rng.choice(list(_leaf_paths(t)))
+        amount = rng.choice((Fraction(1), Fraction(-1, 2)))
+        assert _check_impartial(_build(_moved(t, path, amount))) == (path == ())
+        if not path:
+            continue
+        # so does moving it in its parent's shape wherever that shape sits,
+        # though every node above is still mirrored
+        parent = t
+        for side, i in path[:-1]:
+            parent = parent[side][i]
+        old = _map(parent, lambda x: x - parent[1], False)
+        new = _moved(old, path[-1:], amount)
+        assert not _check_impartial(_build(_everywhere(t, old, new)))
+
+
+@given(games_st(max_leaves=8), scores_st)
+@settings(max_examples=200, deadline=None)
+def test_is_impartial_matches_the_oracle_on_random_games(g, s):
+    _check_impartial(g)
+    # a node with g on one side and g's shape reflected, not negated, on
+    # the other is mirrored at its root, and impartial iff g is
+    twin = shift(g, 2 * (s - score(g)))
+    assert _check_impartial(make_game([g], s, [twin])) == is_impartial(g)

@@ -13,7 +13,7 @@ from conftest import naive_heap_value
 from scoreplay import octal
 from scoreplay import (OctalRuleset, Operator, compare_periods, default_points,
                        eval_sum, final_scores, find_period, grundy_value, heap_game,
-                       heap_moves, heap_value, is_impartial, number,
+                       heap_moves, heap_value, is_impartial, nonzero_witness, number,
                        parse_game, parse_octal, reference_period, sum_games,
                        value_table)
 
@@ -235,6 +235,7 @@ BAD_INPUTS = {
     "compare_periods/tail": lambda: compare_periods(R33, [("0.33", 1)], n_max=3),
     "sum_games/op": lambda: sum_games("disjunctive", [number(1), number(2)]),
     "eval_sum/op": lambda: eval_sum("sequential", [number(1), number(2)]),
+    "nonzero_witness/op": lambda: nonzero_witness(number(1), "conjunctive"),
 }
 
 

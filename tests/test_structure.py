@@ -1,6 +1,7 @@
 """Impartial-game tooling: generators, inverses, identity and witness search."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,13 @@ def test_mirror_is_one_shift_of_the_negation(g, s):
     assert shift(negate(mirror), 2 * s) == g
     # a node with g and its mirror on its two sides is impartial iff g is
     assert is_impartial(make_game([g], s, [mirror])) == is_impartial(g)
+
+
+@pytest.mark.parametrize("field", ["max_depth", "max_branch"])
+@pytest.mark.parametrize("value", [2.5, True, False, "3", Fraction(3)])
+def test_params_depth_and_branch_take_ints_only(field, value):
+    with pytest.raises(TypeError):
+        ImpartialParams(**{field: value})
 
 
 def test_random_impartial_leaf_probability_one():
@@ -115,6 +123,13 @@ def test_identity_test_identity_candidate():
         assert report.all_passed, report.first_counterexample
     report = identity_test(i, Operator.SEQUENTIAL, samples=200)
     assert report.all_passed
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_identity_test_needs_a_sample(samples):
+    # no sample would pass vacuously
+    with pytest.raises(ValueError):
+        identity_test(identity_game(), Operator.CONJUNCTIVE, samples=samples)
 
 
 def test_identity_test_rejects_nonidentity():
