@@ -25,8 +25,8 @@ engine's builders hold known ids: they `_split` a game, read a shape's
 sides from `_nodes` and intern through `_shape`, `_mirrored` and `_scored`,
 which check nothing.  Builders that assemble a tree bottom up (the parser,
 the random generators) pass (shape, score) pairs between levels and intern
-only the root with its score.  Whole-tree walks and the builds over states share
-one post-order fold on an explicit stack, `_postorder`, and recursive
+only the root with its score.  Whole-tree walks and the builds over states
+share one post-order fold on an explicit stack, `_postorder`, and recursive
 generators run on another, `_unwind`: any depth works.
 
 Scores and deltas are stored in canonical form: an `int` when integral, a
@@ -183,11 +183,13 @@ def _scored(y: GameId, s: Raw) -> GameId:
 
 
 def _intern(key: tuple, node: _Node) -> GameId:
-    """The id of `key`, storing `node` for it if it is new: the one insertion."""
+    """The id of `key`, storing `node` for it if it is new: the one insertion.
+    The node goes in first, since `_shape` and `_scored` read `_index` unlocked."""
     with _lock:
-        got = _index.setdefault(key, len(_nodes))    # one hash of the key
-        if got == len(_nodes):
+        got = _index.get(key)
+        if got is None:
             _nodes.append(node)
+            got = _index[key] = len(_nodes) - 1
         return got
 
 

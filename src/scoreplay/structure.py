@@ -3,17 +3,15 @@
 An impartial game here is one where, at every node, the two players'
 options mirror each other about the node score: on shapes (see `game`),
 each Left option (d, y) is matched by the Right option (-d, negate(y)),
-and vice versa.  An impartial shape (an impartial tree at root score 0)
-is its own negative, so negate(g) == shift(g, -2*score(g)) for every
-impartial g.  By induction on depth: its option shapes y are their own
-negatives, so its Right pairs are its Left pairs reflected, (d, y) as
-(-d, y), and `negate`, which swaps the sides and negates the deltas,
-gives the shape back.  So a shape is impartial exactly when its option
-shapes are and its Right pairs are its Left pairs reflected.
-`is_impartial` checks just that, and every builder here interns a
-mirrored shape through `game._mirrored`, with no negation.  Hence `negate`
-only moves an impartial game, while `reverse` (flip scores, keep sides)
-cancels a single-line one conjunctively.
+and vice versa.  Theorem: an impartial shape (an impartial tree at root
+score 0) is its own negative, so negate(g) == shift(g, -2*score(g)) for
+every impartial g.  By induction on depth its option shapes y are their
+own negatives, so its Right pairs are its Left pairs with each delta
+negated, and `negate` (swap the sides, negate the deltas) gives it back.
+So `is_impartial` checks that condition, and the builders here intern
+mirrored shapes with `game._mirrored`, never negating.  `negate` only
+moves an impartial game; `reverse` (flip scores, keep sides) cancels a
+single-line one conjunctively.
 
 The searches in this module are deliberately bounded and deterministic:
 they enumerate candidates in a fixed canonical order under explicit depth
@@ -259,9 +257,12 @@ def distinguishing_context(g: GameId, h: GameId, op: Operator, depth: int = 3,
         return None
     pal = sorted({as_score(s) for s in palette}, key=lambda s: (abs(s), s))
     seen: set[GameId] = set()
-    fresh = (x for x in _context_stream(g, h, depth, branching, pal)
-             if not (x in seen or seen.add(x)))
-    for x in islice(fresh, max(budget, 0)):
+    for x in _context_stream(g, h, depth, branching, pal):
+        if x in seen:
+            continue
+        if len(seen) >= budget:
+            break
+        seen.add(x)
         composed = outcome_of_scores(eval_sum(op, [g, x]))
         baseline = outcome_of_scores(eval_sum(op, [h, x]))
         if composed != baseline:
