@@ -297,8 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="sum operator (default disjunctive)")
     p_gs.add_argument("--n-max", type=_int_arg, default=200, metavar="N",
                       help="largest heap size tabulated (default 200; "
-                           "splitting rulesets get expensive under every "
-                           "operator well before that)")
+                           "splitting rulesets get expensive under the "
+                           "disjunctive and selective operators well "
+                           "before that)")
     p_gs.add_argument("--tail", type=_tail_arg, default=(), metavar="SIZES",
                       help="comma-separated fixed heap sizes (same ruleset) "
                            "added to every position; under sequential the "
@@ -321,9 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ruleset to include (repeat for a battery)")
     p_cmp.add_argument("--n-max", type=_int_arg, default=200, metavar="N",
                        help="largest heap size tabulated (default 200; "
-                            "splitting rulesets get expensive under every "
-                            "operator well before that, and all four "
-                            "operators are tabulated)")
+                            "splitting rulesets get expensive under the "
+                            "disjunctive and selective operators well "
+                            "before that, and all four operators are "
+                            "tabulated)")
     p_cmp.add_argument("--min-confirm", type=_int_arg, default=10, metavar="K",
                        help="indices a candidate period must match "
                             "(default 10)")

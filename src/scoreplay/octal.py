@@ -16,23 +16,50 @@ move, is worth 0.  Under the sequential operator positions are ordered
 and only the first live heap may be played; splitting rulesets are
 rejected there because a split has no sequential reading.
 
-Values are computed by `_negamax` over the combined moves that
-`operators._successors` lists, in integer arithmetic scaled by the common
-denominator of the point awards; results are exact Fractions.  Both
-players have the same moves in a heap position, so one memo per operator
-holds the value of a state to whoever is to move.  A heap needs no store:
-in a position whose distinct rulesets, in canonical order, are
-r_0 .. r_{k-1}, a heap of n beans of r_i is the int n * k + i, which is
-just n for a position of one ruleset.  A state is a tuple of those ints,
-sorted for the commutative operators, so it hashes and compares as a flat
-tuple of ints, as a state of interned game ids does.  Equal rulesets share
-one table of `_gs_tables`, keyed on the position's rulesets: the scale,
-each heap's scaled moves, built once, and each operator's memo and heap
-trees.  `_negamax` is the engine's last recursion, a frame a ply;
-`heap_game` folds heap sizes by `game._postorder` over the same moves, so
-its trees build at any depth.  A heap tree is a shape (see `game`): a move
-worth p is the option (p, part) for Left and (-p, part) for Right.  Heap
-sizes must be nonnegative ints; nothing is truncated into another heap.
+Values are exact Fractions, computed in integer arithmetic scaled by the
+common denominator of the point awards.  `grundy_value` is the one place
+that picks how.  Where one of these reductions is proved, it sums single
+heaps; everywhere else the general `_negamax` plays out the combined
+moves that `operators._successors` lists.
+
+* The lockstep sum (C. A. B. Smith, "Graphs and composite games", J.
+  Combin. Theory 1 (1966); Conway, On Numbers and Games, ch. 14).  Under
+  the conjunctive sum a position of heaps is worth the sum of its heaps'
+  values, v(h) being the best, over h's moves, of the points less the
+  sum of v over the parts left, or 0 with no move.  Hypothesis: the
+  components are impartial heaps.  A heap where the mover has no move is
+  then dead for both players, so every live heap moves on every turn, and
+  each heap's t-th move is made by the same player in every heap.  Proof,
+  by induction on the position: a turn picks a move in each live heap,
+  independently, and the position it leaves is worth the sum of its
+  heaps' values, so the best total of points less that sum is the sum,
+  over heaps, of each heap's best.  Tree sums do not reduce so: a tree
+  component may offer options to one player only, and then it sits out
+  the other's turn while the rest move on.
+* One heap of a ruleset that cannot split stays one heap, and all four
+  operators play a one-component position alike, by the same recurrence.
+
+`_lockstep` fills each heap's value by one loop up the sizes of its
+ruleset, over the table's moves.  `_general_value` is `_negamax` alone,
+with memos of its own, so the checks that hold the reductions to the
+general recursion never read a value a reduction made.
+
+Both players have the same moves in a heap position, so one memo per
+operator holds the value of a state to whoever is to move; the lockstep
+sum keeps each heap's value there under the state (h,), where the general
+recursion finds it too.  A heap needs no store: in a position whose
+distinct rulesets, in canonical order, are r_0 .. r_{k-1}, a heap of n
+beans of r_i is the int n * k + i, which is just n for a position of one
+ruleset.  A state is a tuple of those ints, sorted for the commutative
+operators, so it hashes and compares as a flat tuple of ints, as a state
+of interned game ids does.  Equal rulesets share one table of
+`_gs_tables`, keyed on the position's rulesets: the scale, each heap's
+scaled moves, built once, and each operator's memos and heap trees.
+`_negamax` is the engine's last recursion, a frame a ply; `heap_game`
+folds heap sizes by `game._postorder` over the same moves, so its trees
+build at any depth.  A heap tree is a shape (see `game`): a move worth p
+is the option (p, part) for Left and (-p, part) for Right.  Heap sizes
+must be nonnegative ints; nothing is truncated into another heap.
 """
 
 from __future__ import annotations
@@ -162,8 +189,10 @@ def heap_moves(rules: OctalRuleset, n: int) -> RawMoves:
     return _raw_moves(rules, _as_size(n))
 
 
-#: (moves, scale, {op: (memo and groups of `_negamax`, trees of `heap_game`)})
-Table = tuple[Moves, int, dict[Operator, tuple[dict, dict, dict[int, GameId]]]]
+#: `_negamax`'s values and groups, `heap_game`'s trees, `_lockstep`'s frontier
+Memos = tuple[dict, dict, dict[int, GameId], list[int]]
+#: (moves, scale, {op or (op, "general"): its memos})
+Table = tuple[Moves, int, dict[object, Memos]]
 
 #: the position's rulesets in canonical order -> their table: the operators
 #: share one copy of the moves, and no per-state key carries the operator
@@ -190,6 +219,14 @@ def _table(rulesets: tuple[OctalRuleset, ...]) -> Table:
     return moves, scale, {}
 
 
+def _memos(memos: dict, key, k: int) -> Memos:
+    """The memos under `key` of a table of k rulesets, made on first use:
+    the values and groups of `_negamax`, the trees of `heap_game`, and the
+    frontier of `_lockstep`.  `key` is an operator, or (operator, "general")
+    for `_general_value`."""
+    return memos.get(key) or memos.setdefault(key, ({}, {}, {}, list(range(k))))
+
+
 def _check_rules(op: Operator, rules: OctalRuleset) -> None:
     """Reject a non-operator, a non-ruleset, and a splitting ruleset under
     `op` sequential."""
@@ -200,8 +237,9 @@ def _check_rules(op: Operator, rules: OctalRuleset) -> None:
             f"splitting ruleset {rules.notation()} has no sequential reading")
 
 
-def _prepare(op: Operator, position: Position) -> tuple[tuple, Table]:
-    """The live heaps of `position` as a canonical state, and its table."""
+def _prepare(op: Operator, position: Position) -> tuple[tuple, Table, tuple[OctalRuleset, ...]]:
+    """The live heaps of `position` as a canonical state, its table, and
+    the rulesets that number its heaps."""
     _check_op(op)
     heaps = []
     rulesets = []       # a position holds few: a list finds them without hashing
@@ -217,7 +255,7 @@ def _prepare(op: Operator, position: Position) -> tuple[tuple, Table]:
     state = [h for rules, n in heaps if moves(h := _as_size(n) * k + key.index(rules))]
     if op is not Operator.SEQUENTIAL:
         state.sort()
-    return tuple(state), table
+    return tuple(state), table, key
 
 
 def _negamax(op: Operator, state: tuple, moves: Moves, memo: dict, groups: dict) -> int:
@@ -236,10 +274,47 @@ def _negamax(op: Operator, state: tuple, moves: Moves, memo: dict, groups: dict)
     return val
 
 
+def _lockstep(state: tuple, moves: Moves, k: int, memo: dict, filled: list[int]) -> int:
+    """The sum over the heaps h of `state` of v(h): the best, over h's
+    moves, of the points less the values of the parts, or 0 with no move.
+
+    v(h) is kept in `memo` under (h,).  A miss fills every live heap of
+    h's ruleset, from the one above filled[h % k] up to h, in one loop
+    up the sizes: every live heap of ruleset i up to filled[i] is in
+    `memo`, so each part is found there."""
+    total = 0
+    for h in state:
+        v = memo.get((h,))
+        if v is None:
+            i = h % k
+            for m in range(filled[i] + k, h + 1, k):
+                if ms := moves(m):
+                    memo[m,] = max(p - sum([memo[x,] for x in parts]) for p, parts in ms)
+            filled[i] = h   # a racing thread may set it lower: a refill, not an error
+            v = memo[h,]
+        total += v
+    return total
+
+
 def grundy_value(op: Operator, position: Position) -> Fraction:
-    """Mover-relative value of a heap position under `op`."""
-    state, (moves, scale, memos) = _prepare(op, position)
-    memo, groups, _ = memos.get(op) or memos.setdefault(op, ({}, {}, {}))
+    """Mover-relative value of a heap position under `op`.
+
+    The one place that picks how: by the lockstep sum wherever it is
+    proved (see the module docstring), else by `_negamax`."""
+    state, (moves, scale, memos), rulesets = _prepare(op, position)
+    k = len(rulesets)
+    memo, groups, _, filled = _memos(memos, op, k)
+    if op is Operator.CONJUNCTIVE or len(state) < 2 and not any(
+            rulesets[h % k].can_split for h in state):
+        return Fraction(_lockstep(state, moves, k, memo, filled), scale)
+    return Fraction(_negamax(op, state, moves, memo, groups), scale)
+
+
+def _general_value(op: Operator, position: Position) -> Fraction:
+    """`grundy_value` by `_negamax` alone, in memos of its own: the check
+    that a reduction must pass never reads a value the reduction made."""
+    state, (moves, scale, memos), rulesets = _prepare(op, position)
+    memo, groups, _, _ = _memos(memos, (op, "general"), len(rulesets))
     return Fraction(_negamax(op, state, moves, memo, groups), scale)
 
 
@@ -277,7 +352,7 @@ def heap_game(rules: OctalRuleset, n: int, op: Operator = Operator.DISJUNCTIVE,
     if _as_size(n) > cap:
         raise ValueError(f"heap {n} exceeds cap {cap}; raise cap knowingly")
     moves, scale, memos = table or _gs_tables.setdefault((rules,), _table((rules,)))
-    trees = (entry or memos.setdefault(op, ({}, {}, {})))[2]
+    trees = (entry or _memos(memos, op, 1))[2]
 
     def expand(h):
         return (moves(h),), (m for _, parts in moves(h) for m in parts)

@@ -253,6 +253,7 @@ def distinguishing_context(g: GameId, h: GameId, op: Operator, depth: int = 3,
     hand.  At most `budget` contexts are tested, so None means
     indistinguishable within those bounds, nothing more.
     """
+    _check_op(op)
     if g == h:
         return None
     pal = sorted({as_score(s) for s in palette}, key=lambda s: (abs(s), s))
@@ -320,6 +321,7 @@ def inverse_search(g: GameId, op: Operator, depth: int = 2,
     a fixed probe set never changes the probe's outcome.  The search is a
     bounded heuristic: None means no inverse within bounds and probes.
     """
+    _check_op(op)
     probes = _probe_set()
     for y in islice(_impartial_stream(g, depth, branching=2), max(budget, 0)):
         combined = sum_games(op, [g, y])

@@ -1,9 +1,10 @@
 """Whole-tree walks at any depth: no entry point is bounded by the call stack.
 
 Each expected value comes from a loop over the levels of the line in the
-test itself, never from the walk under test.  The heap evaluator still
-recurses once per ply; a fresh-process test guards how many frames a ply
-costs.
+test itself, never from the walk under test.  The general heap evaluator
+still recurses once per ply, but a single heap of a non-splitting ruleset
+and every conjunctive position are valued by a loop up the heap sizes;
+fresh-process tests guard that loop.
 """
 
 import os
@@ -210,26 +211,40 @@ def test_walks_visit_a_shared_node_once():
         assert is_impartial(ladder)
 
 
-def _fresh(*args):
+def _fresh(*args, timeout=120):
     """Standard output of `python *args` in a fresh interpreter, which must
-    exit 0 with nothing on standard error."""
+    exit 0 with nothing on standard error within `timeout` seconds."""
     env = dict(os.environ, PYTHONPATH=str(Path(scoreplay.__file__).parents[1]))
     proc = subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
     assert (proc.returncode, proc.stderr) == (0, "")
     return proc.stdout
 
 
-def test_cold_heap_value_at_300_plies_finishes():
-    # a cold heap_value(0.33:1,2, n) plays n plies deep at about 3 stack
-    # levels a ply, so it fails from about n = 330 under the default
-    # recursion limit of 1000; one more level a ply fails here
+def test_cold_heap_value_at_3000_beans_finishes():
+    # a heap of a ruleset that cannot split stays one heap, so its value is
+    # filled by a loop up the sizes; the general recursion, at about 3 stack
+    # levels a ply, failed from about n = 330
     values = [0]
-    for n in range(1, 301):
+    for n in range(1, 3001):
         values.append(max(p - values[n - p] for p in (1, 2) if p <= n))
     code = ("from scoreplay import heap_value, parse_octal; "
-            "print(heap_value(parse_octal('0.33:1,2'), 300))")
-    assert _fresh("-c", code) == f"{values[300]}\n"
+            "print(heap_value(parse_octal('0.33:1,2'), 3000))")
+    assert _fresh("-c", code) == f"{values[3000]}\n"
+
+
+def test_gs_of_a_splitting_ruleset_under_conjunctive_is_fast():
+    # 0.007:0,0,1 takes 3 beans for 1 point, leaving 0, 1 or 2 heaps.  Under
+    # the conjunctive sum every heap moves each turn, so a position is worth
+    # the sum of its heaps' values.  The general recursion ran over 120 s
+    # at the default n_max of 200.
+    values = [0, 0, 0, 1]
+    for n in range(4, 201):
+        rests = [(n - 3,)] + [(a, n - 3 - a) for a in range(1, (n - 3) // 2 + 1)]
+        values.append(max(1 - sum(values[m] for m in rest) for rest in rests))
+    out = _fresh("-m", "scoreplay", "gs", "--rules", "0.007:0,0,1", "--op", "conj",
+                 "--format", "csv", timeout=10)
+    assert out.splitlines() == ["n,value"] + [f"{n},{v}" for n, v in enumerate(values)]
 
 
 def test_cold_heap_game_at_1500_beans_finishes():

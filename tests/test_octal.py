@@ -1,21 +1,22 @@
 """Octal heap rulesets: move generation, values, tables, period hunting."""
 
+import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import naive_heap_value
-from scoreplay import octal
+from scoreplay import octal, verify
 from scoreplay import (OctalRuleset, Operator, compare_periods, default_points,
-                       eval_sum, final_scores, find_period, grundy_value, heap_game,
-                       heap_moves, heap_value, is_impartial, nonzero_witness, number,
-                       parse_game, parse_octal, reference_period, sum_games,
-                       value_table)
+                       distinguishing_context, eval_sum, final_scores, find_period,
+                       grundy_value, heap_game, heap_moves, heap_value, inverse_search,
+                       is_impartial, nonzero_witness, number, parse_game, parse_octal,
+                       reference_period, sum_games, value_table)
 
 R33 = parse_octal("0.33:1,2")
 R007 = parse_octal("0.007:0,0,1")
@@ -154,6 +155,88 @@ def test_mixed_rulesets_match_naive_heap_oracle(op):
             assert grundy_value(op, pos) == want, pos
 
 
+def _seeded_points(seed, count):
+    rng = random.Random(seed)
+    return tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(count))
+
+
+#: all 63 two-digit rulesets, each with signed fractional points of its own,
+#: so no other test has filled their tables
+TWO_DIGIT = [OctalRuleset((a, b), _seeded_points(8 * a + b, 2))
+             for a in range(8) for b in range(8) if a or b]
+
+
+@pytest.fixture
+def no_negamax(monkeypatch):
+    """Make the general recursion raise: only a reduction may answer."""
+    def reached(*args):
+        raise AssertionError("_negamax was reached")
+    monkeypatch.setattr(octal, "_negamax", reached)
+
+
+def _naive(op, pos):
+    return naive_heap_value(op, [(r.digits, r.points, n) for r, n in pos])
+
+
+@pytest.mark.parametrize("rules", TWO_DIGIT, ids=str)
+def test_lockstep_sum_matches_naive_heap_oracle(rules, no_negamax):
+    # conjunctive positions of 1-3 heaps and at most 8 beans; and, when the
+    # ruleset cannot split, single heaps under every operator
+    for sizes in _small_positions(max_beans=8):
+        pos = [(rules, n) for n in sizes]
+        assert grundy_value(Operator.CONJUNCTIVE, pos) == _naive(Operator.CONJUNCTIVE, pos), sizes
+    if not rules.can_split:
+        for op in Operator:
+            for n in range(15):
+                assert heap_value(rules, n, op) == _naive(op, [(rules, n)]), (op, n)
+
+
+def test_lockstep_sum_of_mixed_rulesets_matches_naive_heap_oracle(no_negamax):
+    # a seeded sample of ruleset pairs, fresh points again, each heap of
+    # every position from either ruleset
+    rng = random.Random(7)
+    pairs = rng.sample(list(combinations(range(len(TWO_DIGIT)), 2)), 12)
+    for seed, (a, b) in enumerate(pairs, start=100):
+        both = [OctalRuleset(TWO_DIGIT[j].digits, _seeded_points(2 * seed + t, 2))
+                for t, j in enumerate((a, b))]
+        for sizes in _small_positions(max_beans=8):
+            for rules in product(both, repeat=len(sizes)):
+                pos = list(zip(rules, sizes))
+                assert grundy_value(Operator.CONJUNCTIVE, pos) == _naive(Operator.CONJUNCTIVE, pos), pos
+
+
+@pytest.mark.parametrize("op", [Operator.DISJUNCTIVE, Operator.SELECTIVE], ids=str)
+def test_single_heaps_after_the_general_recursion_match_naive_heap_oracle(op):
+    # 0.03 only takes 2 beans, so the general recursion over a pair of odd
+    # heaps leaves values of odd single heaps alone in the memo; the loop up
+    # the sizes must still find every heap below the one it fills
+    rules = OctalRuleset((0, 3), _seeded_points(98, 2))
+    grundy_value(op, [(rules, 9), (rules, 11)])
+    for n in reversed(range(14)):
+        assert heap_value(rules, n, op) == _naive(op, [(rules, n)]), n
+
+
+def test_conjunctive_additivity_check_catches_a_broken_sum(monkeypatch):
+    # the check values its pairs by the general recursion: were they summed
+    # too, an error in every heap's value would cancel out
+    lockstep = octal._lockstep
+    monkeypatch.setattr(octal, "_lockstep",
+                        lambda state, *rest: lockstep(state, *rest) + len(state))
+    assert not verify.check_conjunctive_additivity().passed
+
+
+def test_general_value_never_reads_a_summed_value():
+    rules = OctalRuleset((7, 3), _seeded_points(99, 2))
+    for n in range(8):
+        grundy_value(Operator.CONJUNCTIVE, [(rules, n)])
+    memo = octal._gs_tables[(rules,)][2][Operator.CONJUNCTIVE][0]
+    for key in memo:        # spoil every value the sum made
+        memo[key] += 1000
+    for sizes in _small_positions(max_beans=8):
+        pos = [(rules, n) for n in sizes]
+        assert octal._general_value(Operator.CONJUNCTIVE, pos) == _naive(Operator.CONJUNCTIVE, pos)
+
+
 COMMUTATIVE = [op for op in Operator if op is not Operator.SEQUENTIAL]
 
 
@@ -236,6 +319,10 @@ BAD_INPUTS = {
     "sum_games/op": lambda: sum_games("disjunctive", [number(1), number(2)]),
     "eval_sum/op": lambda: eval_sum("sequential", [number(1), number(2)]),
     "nonzero_witness/op": lambda: nonzero_witness(number(1), "conjunctive"),
+    # no candidate to test: the operator is still read
+    "distinguishing_context/op-equal-games":
+        lambda: distinguishing_context(number(1), number(1), "conjunctive"),
+    "inverse_search/op-no-budget": lambda: inverse_search(number(1), "conjunctive", budget=0),
 }
 
 
@@ -294,8 +381,8 @@ def test_equal_rulesets_share_one_table():
     assert implicit == explicit
     assert hash(implicit) == hash(explicit)
     op = Operator.DISJUNCTIVE
-    state, table = octal._prepare(op, [(implicit, 5)])
-    same_state, same_table = octal._prepare(op, [(explicit, 5)])
+    state, table, _ = octal._prepare(op, [(implicit, 5)])
+    same_state, same_table, _ = octal._prepare(op, [(explicit, 5)])
     assert same_state == state and same_table is table
     assert octal._prepare(op, [(OctalRuleset((3, 3), (2, 1)), 5)])[1] is not table
 

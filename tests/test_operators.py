@@ -273,7 +273,7 @@ def heap_states(op):
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.value)
 def test_successors_match_naive_on_heap_states(op):
-    _, (moves, scale, _) = octal._prepare(Operator.DISJUNCTIVE, BOTH)
+    _, (moves, scale, _), _ = octal._prepare(Operator.DISJUNCTIVE, BOTH)
     assert (R007, R33_RATIONAL) in octal._gs_tables and scale == 6
     states = heap_states(op)
     assert any(len(set(s)) < len(s) for s in states)
